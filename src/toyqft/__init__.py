@@ -39,7 +39,6 @@ from .spacetime import (
     space_volume,
 )
 from .scatter import (
-    ScatterScenario,
     amplitude,
     build_roster,
     hamiltonian,

@@ -49,13 +49,20 @@ def _load_scenario(path):
         ) from exc
 
 
-def _require(scenario, field, kind=None):
+def _typed(value, field, kind, minimum=None):
+    """value if it is a `kind` no less than `minimum`; true/false is no number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ScenarioError(field, f"expected {getattr(kind, '__name__', 'number')}")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(field, f"must be >= {minimum}")
+    return value
+
+
+def _require(scenario, field, kind=None, minimum=None):
     if field not in scenario:
         raise ScenarioError(field, "required field missing")
     value = scenario[field]
-    if kind is not None and not isinstance(value, kind):
-        raise ScenarioError(field, f"expected {kind.__name__}")
-    return value
+    return value if kind is None else _typed(value, field, kind, minimum)
 
 
 def _parse_statistics(text, field):
@@ -92,9 +99,7 @@ def _parse_roster(scenario):
 
 def _parse_space(scenario):
     modes = _parse_roster(scenario)
-    cutoff = _require(scenario, "cutoff_s", int)
-    if cutoff < 1:
-        raise ScenarioError("cutoff_s", "must be >= 1")
+    cutoff = _require(scenario, "cutoff_s", int, minimum=1)
     try:
         return build_space(modes, cutoff)
     except ToyQFTError as exc:
@@ -108,10 +113,12 @@ def _parse_field(space, terms, field_name):
     for i, term in enumerate(terms):
         if not isinstance(term, dict) or "mode" not in term:
             raise ScenarioError(f"{field_name}[{i}]", "expected {mode, alpha}")
+        mode_id = _typed(term["mode"], f"{field_name}[{i}].mode", int)
         alpha = term.get("alpha", [1.0, 0.0])
         if not (isinstance(alpha, list) and len(alpha) == 2):
             raise ScenarioError(f"{field_name}[{i}].alpha", "expected [re, im]")
-        parsed.append((int(term["mode"]), complex(alpha[0], alpha[1])))
+        re, im = (_typed(a, f"{field_name}[{i}].alpha", (int, float)) for a in alpha)
+        parsed.append((mode_id, complex(re, im)))
     try:
         return free_field(space, parsed)
     except ToyQFTError as exc:
@@ -119,20 +126,26 @@ def _parse_field(space, terms, field_name):
 
 
 def _parse_state(space, raw, field_name):
-    if not isinstance(raw, dict) or "modes" not in raw:
+    if not (isinstance(raw, dict) and isinstance(raw.get("modes"), list)):
         raise ScenarioError(field_name, "expected {modes: [[id, count], ...]}")
     fermions = []
     bosons = []
-    for pair in raw["modes"]:
-        mode_id, count = int(pair[0]), int(pair[1])
-        mode = space.mode(mode_id)
-        if mode.statistics is Statistics.FERMION:
+    for i, pair in enumerate(raw["modes"]):
+        where = f"{field_name}.modes[{i}]"
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ScenarioError(where, "expected [id, count]")
+        mode_id = _typed(pair[0], where, int)
+        count = _typed(pair[1], where, int, minimum=1)
+        if space.is_fermion(mode_id):
             if count != 1:
                 raise ScenarioError(field_name, "fermion count must be 1")
             fermions.append(mode_id)
         else:
             bosons.append((mode_id, count))
-    state = OccupationState(tuple(sorted(fermions)), tuple(sorted(bosons)))
+    try:
+        state = OccupationState(tuple(sorted(fermions)), tuple(sorted(bosons)))
+    except ValueError as exc:  # a mode listed twice
+        raise ScenarioError(field_name, str(exc)) from None
     if state not in space.index:
         raise ScenarioError(field_name, "state outside the basis")
     return state
@@ -328,11 +341,12 @@ def _run_spectrum(scenario, fmt, tol):
 
 
 def _run_scatter(scenario, fmt, enforce, coupling):
-    mass1 = _require(scenario, "mass1", int)
-    mass2 = _require(scenario, "mass2", int)
+    mass1 = _require(scenario, "mass1", int, minimum=1)
+    mass2 = _require(scenario, "mass2", int, minimum=1)
     r = _require(scenario, "r", int)
-    cutoff = _require(scenario, "cutoff_s", int)
-    x0 = _require(scenario, "x0", int)
+    cutoff = _require(scenario, "cutoff_s", int, minimum=1)
+    x0 = _require(scenario, "x0", int, minimum=0)
+    threshold = _typed(scenario.get("threshold", 0.0), "threshold", (int, float), 0)
     stats = scenario.get("statistics", ["boson", "boson"])
     if not (isinstance(stats, list) and len(stats) == 2):
         raise ScenarioError("statistics", "expected a list of two entries")
@@ -346,7 +360,6 @@ def _run_scatter(scenario, fmt, enforce, coupling):
     except ToyQFTError as exc:
         raise ScenarioError("scatter", str(exc)) from exc
     in_state = _parse_state(space, _require(scenario, "in_state"), "in_state")
-    threshold = float(scenario.get("threshold", 0.0))
     rows = probability_table(
         s_op, in_state, threshold, enforce_conservation=enforce
     )
@@ -379,6 +392,8 @@ def _run_lattice(scenario, fmt, args):
                 "lattice", "--mass and --max-energy (or --scenario) required"
             )
         mass, r, x0 = args.mass, args.max_energy, args.x0
+    if x0 is not None:
+        x0 = _typed(x0, "x0", int, minimum=0)
     points = hyperboloid(mass, r)
     report = {
         "kind": "lattice",

@@ -1,7 +1,6 @@
 """Annihilation/creation operator matrices and AC-operator algebra.
 
-Everything is a dense complex matrix on a FockSpace; the largest space in
-practice is 64-dimensional, so sparsity machinery is deliberately absent.
+Everything is a dense complex matrix on a FockSpace.
 
 Fermion sign rule: kets are stored with fermion ids ascending, and the
 sign of removing (or inserting) mode j is (-1)^k where k is the number of
@@ -58,9 +57,6 @@ class OperatorMatrix:
 
     def adjoint(self):
         return OperatorMatrix(self.space, self.mat.conj().T)
-
-    def is_hermitian(self, tol=1e-10):
-        return np.max(np.abs(self.mat - self.mat.conj().T)) <= tol
 
     def to_json(self):
         """Row-major dense entries as [re, im] pairs."""
@@ -179,13 +175,10 @@ def anticommutator(a, b):
 
 
 def ac_operator(space, mode_id, alpha):
-    """Hermitian combination alpha*a + conj(alpha)*a* for one mode."""
-    alpha = complex(alpha)
-    op = alpha * annihilator(space, mode_id) + np.conj(alpha) * creator(
-        space, mode_id
-    )
-    assert op.is_hermitian(1e-12)
-    return op
+    """Hermitian combination alpha*a + conj(alpha)*a* for one mode, built
+    as op + op* from op = alpha*a (a* is exactly the adjoint of a)."""
+    op = complex(alpha) * annihilator(space, mode_id)
+    return op + op.adjoint()
 
 
 def number_of(mode_id, state):

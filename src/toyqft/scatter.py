@@ -3,33 +3,21 @@ Hamiltonian, the scattering operator exp(iH) and transition probabilities.
 
 The density at a lattice point is the interaction of two free fields,
 one per particle mass; the Hamiltonian averages the density over the
-spatial ball of radius x0 at time x0.
+spatial ball of radius x0 at time x0, computed as the density at the
+origin masked entry-wise by the slice average of the phase by which a
+translation rephases each pair of basis kets (see `hamiltonian`).
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EmptyRoster
 from .fields import interaction_field
 from .fock import ParticleMode, Statistics
 from .ladder import OperatorMatrix
-from .spacetime import field_at, hyperboloid, space_slice
+from .spacetime import LatticePoint, field_at, hyperboloid, phase, space_slice
 from .spectral import eigh, unitary_exp
-
-
-@dataclass(frozen=True)
-class ScatterScenario:
-    """Parameters for one scattering run."""
-
-    mass1: int
-    mass2: int
-    r: int
-    cutoff_s: int
-    x0: int
-    statistics1: Statistics = Statistics.BOSON
-    statistics2: Statistics = Statistics.BOSON
-    in_state: object = None
-    out_states: tuple = ()
-    coupling: float = 1.0
 
 
 def build_roster(mass1, mass2, r, statistics1=Statistics.BOSON,
@@ -73,13 +61,21 @@ def hamiltonian_density(space, x, r, m1, m2):
 
 
 def hamiltonian(space, x0, r, m1, m2):
-    """Average of the density over the time-x0 slice {|x| <= x0}."""
+    """Average of the density over the time-x0 slice {|x| <= x0}.
+
+    Field coefficients are phase(p, x) / p0 and a(p) lowers a ket's total
+    4-momentum P by p, so tau(x) = D(x) tau(0) D(x)* exactly, with
+    D(x) = diag(i^(-P_n.x)).  The average is tau(0) times M entry by
+    entry, M_mn = avg_x i^((P_n - P_m).x) = (d d*)_mn / |slice| where
+    column k of d is the diagonal of D(x_k).  P counts the two mass
+    blocks only; other modes' occupations cancel in P_n - P_m.
+    """
     points = space_slice(x0)
-    total = None
-    for x in points:
-        tau = hamiltonian_density(space, x, r, m1, m2)
-        total = tau if total is None else total + tau
-    return (1.0 / len(points)) * total
+    tau = hamiltonian_density(space, LatticePoint(0), r, m1, m2)
+    moved = [space.mode(i) for block in _mass_blocks(space, r, m1, m2) for i in block]
+    momenta = [total_momentum(space, state, moved) for state in space.basis]
+    d = np.array([[phase(p, x) for x in points] for p in momenta]).conj()
+    return OperatorMatrix(space, tau.mat * (d @ d.conj().T / len(points)))
 
 
 def scattering_operator(h, coupling=1.0):
@@ -104,11 +100,12 @@ def probability(s, in_state, out_state):
     return abs(amplitude(s, in_state, out_state)) ** 2
 
 
-def total_momentum(space, state):
-    """Summed 4-momentum of a state's occupied modes, or None when some
-    occupied mode carries no momentum label."""
+def total_momentum(space, state, modes=None):
+    """Summed 4-momentum of a state's occupied modes (among `modes`, by
+    default the whole roster), or None when some occupied mode carries
+    no momentum label."""
     total = (0, 0, 0, 0)
-    for mode in space.modes:
+    for mode in space.modes if modes is None else modes:
         n = state.count_of(mode.id)
         if n == 0:
             continue

@@ -97,17 +97,13 @@ def hyperboloid(m, r):
 
 def space_volume(x0):
     """Number of integer spatial points within Euclidean distance x0."""
-    count = 0
-    for x1 in range(-x0, x0 + 1):
-        for x2 in range(-x0, x0 + 1):
-            for x3 in range(-x0, x0 + 1):
-                if x1 * x1 + x2 * x2 + x3 * x3 <= x0 * x0:
-                    count += 1
-    return count
+    return len(space_slice(x0))
 
 
 def space_slice(x0):
     """Lattice points (x0, x) with |x| <= x0, in deterministic order."""
+    if x0 < 0:
+        raise ValueError("time coordinate must be nonnegative")
     points = []
     for x1 in range(-x0, x0 + 1):
         for x2 in range(-x0, x0 + 1):

@@ -16,12 +16,6 @@ DEFAULT_GROUP_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
 
 
-def _as_array(h):
-    if isinstance(h, OperatorMatrix):
-        return h.mat
-    return np.asarray(h, dtype=complex)
-
-
 @dataclass(frozen=True)
 class EigenGroup:
     value: float
@@ -71,12 +65,15 @@ def eigh(h, group_tol=DEFAULT_GROUP_TOL):
     """Decompose a Hermitian matrix, clustering near-equal eigenvalues.
 
     Two raw eigenvalues join one group iff their gap is at most
-    group_tol * max(1, spectral radius).  Raises NotHermitian when the
-    max-abs asymmetry exceeds the Hermiticity tolerance.
+    group_tol * max(1, spectral radius).  Raises NotHermitian when an
+    entry is not finite or the max-abs asymmetry exceeds the Hermiticity
+    tolerance.
     """
-    mat = _as_array(h)
+    mat = h.mat if isinstance(h, OperatorMatrix) else np.asarray(h, dtype=complex)
     if group_tol <= 0:
         raise ValueError("group_tol must be positive")
+    if not np.isfinite(mat).all():
+        raise NotHermitian("matrix has non-finite entries")
     if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
         raise NotHermitian("matrix is not Hermitian within tolerance")
 
@@ -101,17 +98,19 @@ def projectors(decomp):
     return [g.vectors @ g.vectors.conj().T for g in decomp.groups]
 
 
+def _spectral_sum(decomp, f):
+    """Sum of f(lambda_j) P_j, as V diag(f(w)) V* with V the stacked group
+    bases and w each group's value repeated over its multiplicity."""
+    v = np.hstack([g.vectors for g in decomp.groups])
+    w = np.repeat(decomp.eigenvalues, decomp.multiplicities)
+    return (v * f(w)) @ v.conj().T
+
+
 def reconstruct(decomp):
     """Sum of lambda_j P_j; recovers the decomposed matrix."""
-    out = np.zeros((decomp.dimension, decomp.dimension), dtype=complex)
-    for g, p in zip(decomp.groups, projectors(decomp)):
-        out += g.value * p
-    return out
+    return _spectral_sum(decomp, lambda w: w)
 
 
 def unitary_exp(decomp):
     """exp(iH) as sum of exp(i lambda_j) P_j; unitary."""
-    out = np.zeros((decomp.dimension, decomp.dimension), dtype=complex)
-    for g, p in zip(decomp.groups, projectors(decomp)):
-        out += np.exp(1j * g.value) * p
-    return out
+    return _spectral_sum(decomp, lambda w: np.exp(1j * w))

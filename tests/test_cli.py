@@ -207,6 +207,57 @@ def test_lattice_flags(capsys):
     assert report["space_volume"] == {"x0": 1, "volume": 7}
 
 
+SCATTER_R1 = {
+    "mass1": 1,
+    "mass2": 1,
+    "r": 1,
+    "cutoff_s": 2,
+    "x0": 0,
+    "in_state": {"modes": [[0, 1], [1, 1]]},
+}
+
+
+@pytest.mark.parametrize("command", ["scatter", "lattice", "lattice-flags"])
+def test_negative_x0_exit_2(tmp_path, capsys, command):
+    if command == "scatter":
+        argv = ["scatter", "--scenario", write_scenario(
+            tmp_path, dict(SCATTER_R1, x0=-1))]
+    elif command == "lattice":
+        argv = ["lattice", "--scenario", write_scenario(
+            tmp_path, {"mass": 1, "r": 2, "x0": -1})]
+    else:
+        argv = ["lattice", "--mass", "1", "--max-energy", "2", "--x0", "-1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("scenario error: x0:")
+
+
+MALFORMED = {
+    "state-id-str": ("scatter", dict(SCATTER_R1, in_state={"modes": [["a", 1]]})),
+    "state-pair-short": ("scatter", dict(SCATTER_R1, in_state={"modes": [[0]]})),
+    "state-id-twice": ("scatter", dict(SCATTER_R1, in_state={"modes": [[0, 1], [0, 1]]})),
+    "state-count-0": ("scatter", dict(SCATTER_R1, in_state={"modes": [[0, 0]]})),
+    "state-modes-int": ("scatter", dict(SCATTER_R1, in_state={"modes": 0})),
+    "x0-bool": ("scatter", dict(SCATTER_R1, x0=True)),
+    "cutoff-0": ("scatter", dict(SCATTER_R1, cutoff_s=0)),
+    "mass-negative": ("scatter", dict(SCATTER_R1, mass1=-1)),
+    "threshold-str": ("scatter", dict(SCATTER_R1, threshold="high")),
+    "threshold-negative": ("scatter", dict(SCATTER_R1, threshold=-1.0)),
+    "field-id-str": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": "a"}])),
+    "field-id-float": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 1.5}])),
+    "field-alpha-str": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": ["1", 0]}])),
+    "cutoff-bool": ("dims", dict(FERMION_ROSTER_K3, cutoff_s=True)),
+}
+
+
+@pytest.mark.parametrize("command, scenario", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_exit_2(tmp_path, capsys, command, scenario):
+    path = write_scenario(tmp_path, scenario)
+    code, out, err = run(capsys, [command, "--scenario", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("scenario error:")
+
+
 def test_json_output_byte_identical(tmp_path, capsys):
     path = write_scenario(tmp_path, FERMION_ROSTER_K3)
     _, out1, _ = run(capsys, ["verify", "--scenario", path])

@@ -4,6 +4,7 @@ import pytest
 from toyqft import (
     LatticePoint,
     OccupationState,
+    ParticleMode,
     Statistics,
     amplitude,
     build_roster,
@@ -19,7 +20,7 @@ from toyqft import (
 from toyqft.errors import EmptyRoster, NotInBasis
 from toyqft.ladder import OperatorMatrix
 from toyqft.scatter import total_momentum
-from toyqft.spacetime import space_volume
+from toyqft.spacetime import space_slice
 
 MAXABS = np.abs
 
@@ -105,18 +106,37 @@ def test_hamiltonian_x0_zero_is_origin_density():
     assert np.array_equal(h.mat, tau.mat)
 
 
-def test_hamiltonian_averages_seven_densities():
-    space = boson_space(r=2)
-    assert space_volume(1) == 7
-    h = hamiltonian(space, 1, 2, 1, 1)
-    acc = None
-    for x1, x2, x3 in [
-        (0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
-        (0, -1, 0), (0, 0, 1), (0, 0, -1),
-    ]:
-        tau = hamiltonian_density(space, LatticePoint(1, (x1, x2, x3)), 2, 1, 1)
-        acc = tau.mat if acc is None else acc + tau.mat
-    assert np.allclose(h.mat, acc / 7, atol=1e-14)
+B, F = Statistics.BOSON, Statistics.FERMION
+STATS = {"BB": (B, B), "FB": (F, B), "BF": (B, F), "FF": (F, F)}
+SLICE_CASES = [
+    (stats, masses, r, x0, False)
+    for stats in STATS
+    for masses in [(1, 1), (1, 2), (2, 1)]
+    for r in (1, 2)
+    for x0 in (0, 1, 2)
+    if r >= max(masses)
+] + [("FB", (1, 2), 2, 1, True)]
+
+
+@pytest.mark.parametrize(
+    "stats, masses, r, x0, extra_mode",
+    SLICE_CASES,
+    ids=[
+        f"{st}-m{m1}{m2}-r{r}-x{x0}" + ("-extra" if extra else "")
+        for st, (m1, m2), r, x0, extra in SLICE_CASES
+    ],
+)
+def test_hamiltonian_averages_slice_densities(stats, masses, r, x0, extra_mode):
+    m1, m2 = masses
+    roster = build_roster(m1, m2, r, *STATS[stats])
+    if extra_mode:
+        # A mode no field moves, with no momentum label.
+        roster.append(ParticleMode(len(roster), "spectator", B))
+    space = build_space(roster, 2)
+    h = hamiltonian(space, x0, r, m1, m2)
+    points = space_slice(x0)
+    mean = sum(hamiltonian_density(space, x, r, m1, m2).mat for x in points)
+    assert np.max(np.abs(h.mat - mean / len(points))) <= 1e-14
 
 
 def test_hamiltonian_norm_contraction():

@@ -22,6 +22,14 @@ def test_rejects_non_hermitian():
         eigh(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite(bad):
+    h = np.eye(3, dtype=complex)
+    h[1, 1] = bad
+    with pytest.raises(NotHermitian):
+        eigh(h)
+
+
 def test_k2_field_grouping(rng):
     space = k_space(2)
     alpha, beta = generic_coeffs(rng, 2)
@@ -124,6 +132,18 @@ def test_unitary_exp_phase_shift(rng):
     lhs = unitary_exp(eigh(h + c * np.eye(6)))
     rhs = np.exp(1j * c) * unitary_exp(eigh(h))
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+
+def test_spectral_sums_match_projector_sums(rng):
+    q, _ = np.linalg.qr(random_hermitian(rng, 7))
+    h = q @ np.diag([-3.0, 1.0, 1.0, 2.0, 2.0, 2.0, 4.5]) @ q.conj().T
+    decomp = eigh(h)
+    assert decomp.multiplicities == [1, 2, 3, 1]
+    ps = projectors(decomp)
+    for spectral_sum, f in [(reconstruct, lambda v: v),
+                            (unitary_exp, lambda v: np.exp(1j * v))]:
+        expected = sum(f(g.value) * p for g, p in zip(decomp.groups, ps))
+        assert np.max(np.abs(spectral_sum(decomp) - expected)) <= 1e-12
 
 
 def test_degenerate_grouping_merges():
