@@ -17,7 +17,6 @@ from .ladder import (
     anticommutator,
     commutator,
     creator,
-    number_of,
 )
 from .fields import (
     FormClassification,

@@ -10,6 +10,8 @@ from enum import Enum
 
 from math import comb
 
+import numpy as np
+
 from .errors import InvalidRoster, NotInBasis, UnknownMode
 
 
@@ -105,6 +107,8 @@ class FockSpace:
 
     Basis order: total particle count ascending, then lexicographic on the
     canonical encoding (fermion block first).  Index 0 is the vacuum.
+    occupations[ket, mode] is the read-only integer count table of the
+    basis, the array form that operator builders read counts from.
     Immutable after construction.
     """
 
@@ -112,6 +116,7 @@ class FockSpace:
     cutoff_s: int
     basis: tuple
     index: dict = field(compare=False, repr=False)
+    occupations: np.ndarray = field(compare=False, repr=False)
 
     @property
     def dimension(self):
@@ -173,7 +178,13 @@ def build_space(modes, cutoff_s):
     fill(0, cutoff_s, [], [])
     states.sort(key=lambda st: (st.total, st.encoding()))
     index = {st: i for i, st in enumerate(states)}
-    return FockSpace(modes, cutoff_s, tuple(states), index)
+    occupations = np.zeros((len(states), len(modes)), dtype=np.int64)
+    for row, st in enumerate(states):
+        occupations[row, list(st.fermions)] = 1
+        for m, c in st.bosons:
+            occupations[row, m] = c
+    occupations.flags.writeable = False
+    return FockSpace(modes, cutoff_s, tuple(states), index, occupations)
 
 
 def dimension(space):

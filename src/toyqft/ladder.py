@@ -2,10 +2,12 @@
 
 Everything is a dense complex matrix on a FockSpace.
 
-Fermion sign rule: kets are stored with fermion ids ascending, and the
-sign of removing (or inserting) mode j is (-1)^k where k is the number of
-occupied same-species fermions preceding j in that canonical order.
-Fermions of distinct species (different masses) commute, matching the
+a and a* are one construction: shift one column of the space's
+occupation array by -1 or +1 and look each shifted row up among the
+kets.  Fermion sign rule: kets are stored with fermion ids ascending,
+and the sign of removing (or inserting) mode j is (-1)^k where k is the
+number of occupied fermions of j's `fermion_family` preceding j in that
+canonical order.  Fermions of distinct families commute, matching the
 symmetric interchange of distinguishable particles in mixed spaces.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpaceMismatch
-from .fock import OccupationState, fermion_family
+from .fock import Statistics, fermion_family
 
 
 @dataclass(frozen=True)
@@ -75,44 +77,43 @@ def zero(space):
     )
 
 
-def _family_position(space, state, mode_id):
-    """Number of occupied same-species fermions preceding mode_id in the
-    canonical ascending order; determines the exchange sign."""
-    fam = fermion_family(space.mode(mode_id))
-    return sum(
-        1
-        for f in state.fermions
-        if f < mode_id and fermion_family(space.mode(f)) == fam
-    )
+def _row_keys(occupations):
+    """One opaque, sortable key per row of a C-contiguous count table."""
+    width = occupations.itemsize * occupations.shape[1]
+    return occupations.view(np.dtype((np.void, width))).ravel()
 
 
-def _remove_fermion(space, state, mode_id):
-    """State with one fermion removed and the removal sign, or None."""
-    if mode_id not in state.fermions:
-        return None
-    sign = -1 if _family_position(space, state, mode_id) % 2 else 1
-    pos = state.fermions.index(mode_id)
-    fermions = state.fermions[:pos] + state.fermions[pos + 1 :]
-    return OccupationState(fermions, state.bosons), sign
+def _ladder(space, mode_id, step):
+    """Matrix that moves each ket's count of one mode by step (-1 or +1).
 
-
-def _insert_fermion(space, state, mode_id):
-    """State with one fermion inserted and the insertion sign, or None."""
-    if mode_id in state.fermions:
-        return None
-    sign = -1 if _family_position(space, state, mode_id) % 2 else 1
-    pos = sum(1 for f in state.fermions if f < mode_id)
-    fermions = state.fermions[:pos] + (mode_id,) + state.fermions[pos:]
-    return OccupationState(fermions, state.bosons), sign
-
-
-def _with_boson_count(state, mode_id, count):
-    bosons = tuple(
-        (m, c) for m, c in state.bosons if m != mode_id
-    )
-    if count:
-        bosons = tuple(sorted(bosons + ((mode_id, count),)))
-    return OccupationState(state.fermions, bosons)
+    Column c gets (-1)^k sqrt(max(n_before, n_after)) at the ket whose
+    occupations are column c's shifted by step, where k counts the
+    occupied same-family fermions ahead of a fermion mode.  A shifted row
+    that is no ket (empty mode, doubled fermion, count past the cutoff)
+    gives no entry.
+    """
+    mode = space.mode(mode_id)
+    occ = space.occupations
+    shifted = occ.copy()
+    shifted[:, mode_id] += step
+    keys = _row_keys(occ)
+    order = np.argsort(keys)
+    known = keys[order]
+    wanted = _row_keys(shifted)
+    pos = np.minimum(np.searchsorted(known, wanted), len(known) - 1)
+    cols = np.flatnonzero(known[pos] == wanted)
+    values = np.sqrt(np.maximum(occ[cols, mode_id], shifted[cols, mode_id]))
+    if mode.statistics is Statistics.FERMION:
+        family = fermion_family(mode)
+        ahead = [
+            m.id for m in space.modes[:mode_id]
+            if m.statistics is Statistics.FERMION
+            and fermion_family(m) == family
+        ]
+        values = np.where(occ[cols][:, ahead].sum(1) % 2, -values, values)
+    mat = np.zeros((space.dimension, space.dimension), dtype=complex)
+    mat[order[pos[cols]], cols] = values
+    return OperatorMatrix(space, mat)
 
 
 def annihilator(space, mode_id):
@@ -121,47 +122,17 @@ def annihilator(space, mode_id):
     Fermion columns carry the canonical-order sign; boson columns carry
     the sqrt(k) factor where k is the occupation before removal.
     """
-    fermionic = space.is_fermion(mode_id)
-    mat = np.zeros((space.dimension, space.dimension), dtype=complex)
-    for col, state in enumerate(space.basis):
-        if fermionic:
-            hit = _remove_fermion(space, state, mode_id)
-            if hit is None:
-                continue
-            target, sign = hit
-            mat[space.index_of(target), col] = sign
-        else:
-            k = state.count_of(mode_id)
-            if k == 0:
-                continue
-            target = _with_boson_count(state, mode_id, k - 1)
-            mat[space.index_of(target), col] = np.sqrt(k)
-    return OperatorMatrix(space, mat)
+    return _ladder(space, mode_id, -1)
 
 
 def creator(space, mode_id):
     """Matrix of a(mode)*: adds one particle of the given mode.
 
-    Built directly from the defining action; agreement with the adjoint
-    of annihilator is a tested identity.  Any column at total count s
-    maps to zero (cutoff boundary), as does fermion double occupation.
+    Agreement with the adjoint of annihilator is a tested identity.  Any
+    column at total count s maps to zero (cutoff boundary), as does
+    fermion double occupation.
     """
-    fermionic = space.is_fermion(mode_id)
-    mat = np.zeros((space.dimension, space.dimension), dtype=complex)
-    for col, state in enumerate(space.basis):
-        if state.total >= space.cutoff_s:
-            continue
-        if fermionic:
-            hit = _insert_fermion(space, state, mode_id)
-            if hit is None:
-                continue
-            target, sign = hit
-            mat[space.index_of(target), col] = sign
-        else:
-            k = state.count_of(mode_id)
-            target = _with_boson_count(state, mode_id, k + 1)
-            mat[space.index_of(target), col] = np.sqrt(k + 1)
-    return OperatorMatrix(space, mat)
+    return _ladder(space, mode_id, +1)
 
 
 def commutator(a, b):
@@ -181,12 +152,9 @@ def ac_operator(space, mode_id, alpha):
     return op + op.adjoint()
 
 
-def number_of(mode_id, state):
-    """Occupation count of one mode in a state."""
-    return state.count_of(mode_id)
-
-
 def number_operator(space, mode_id):
     """Diagonal occupation-number matrix for one mode."""
-    diag = [state.count_of(mode_id) for state in space.basis]
-    return OperatorMatrix(space, np.diag(diag).astype(complex))
+    space.mode(mode_id)
+    return OperatorMatrix(
+        space, np.diag(space.occupations[:, mode_id]).astype(complex)
+    )

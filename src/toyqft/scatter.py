@@ -72,8 +72,10 @@ def hamiltonian(space, x0, r, m1, m2):
     """
     points = space_slice(x0)
     tau = hamiltonian_density(space, LatticePoint(0), r, m1, m2)
-    moved = [space.mode(i) for block in _mass_blocks(space, r, m1, m2) for i in block]
-    momenta = [total_momentum(space, state, moved) for state in space.basis]
+    moved = [i for block in _mass_blocks(space, r, m1, m2) for i in block]
+    labels = np.array([space.mode(i).momentum for i in moved], dtype=int)
+    # (-1, 4) keeps a block with no modes (r below its mass) a 0x4 table
+    momenta = (space.occupations[:, moved] @ labels.reshape(-1, 4)).tolist()
     d = np.array([[phase(p, x) for x in points] for p in momenta]).conj()
     return OperatorMatrix(space, tau.mat * (d @ d.conj().T / len(points)))
 
@@ -100,12 +102,11 @@ def probability(s, in_state, out_state):
     return abs(amplitude(s, in_state, out_state)) ** 2
 
 
-def total_momentum(space, state, modes=None):
-    """Summed 4-momentum of a state's occupied modes (among `modes`, by
-    default the whole roster), or None when some occupied mode carries
-    no momentum label."""
+def total_momentum(space, state):
+    """Summed 4-momentum of a state's occupied modes, or None when some
+    occupied mode carries no momentum label."""
     total = (0, 0, 0, 0)
-    for mode in space.modes if modes is None else modes:
+    for mode in space.modes:
         n = state.count_of(mode.id)
         if n == 0:
             continue

@@ -50,15 +50,14 @@ class SpectralDecomposition:
 
 
 def _canonical_phase(vectors):
-    """Rotate each column so its first nonzero entry is real positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            pivot = col[nz[0]]
-            out[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return out
+    """Rotate each column so its first nonzero entry is real positive;
+    columns with no entry above 1e-12 are left as they are."""
+    big = np.abs(vectors) > 1e-12
+    pivot = vectors[big.argmax(0), np.arange(vectors.shape[1])]
+    pivot[~big.any(0)] = 1
+    # hypot rounds like the scalar abs(); the vectorized np.abs on complex
+    # arrays can differ in the last bit
+    return vectors * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
 def eigh(h, group_tol=DEFAULT_GROUP_TOL):

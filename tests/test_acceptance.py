@@ -30,7 +30,6 @@ from toyqft import (
     hyperboloid,
     interaction_field,
     lorentz_product,
-    number_of,
     phase,
     reconstruct,
     scattering_operator,
@@ -140,7 +139,7 @@ def test_criterion_02_algebra_identities():
                     )))
                     if i == j:
                         for idx in boundary:
-                            expect = number_of(j, space.basis[idx])
+                            expect = space.basis[idx].count_of(j)
                             worst = max(worst, abs(car[idx, idx] - expect))
                             col = np.delete(car[:, idx], idx)
                             if col.size:
@@ -158,7 +157,7 @@ def test_criterion_02_algebra_identities():
                 aj = annihilator(space, j)
                 diag = commutator(aj, aj.adjoint()).mat
                 for idx in boundary:
-                    expect = -number_of(j, space.basis[idx])
+                    expect = -space.basis[idx].count_of(j)
                     worst = max(worst, abs(diag[idx, idx] - expect))
                     col = np.delete(diag[:, idx], idx)
                     worst = max(worst, np.max(np.abs(col)) if col.size else 0.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from toyqft import cli
 from toyqft.cli import emit_report, main
 
 
@@ -238,6 +239,8 @@ MALFORMED = {
     "state-id-twice": ("scatter", dict(SCATTER_R1, in_state={"modes": [[0, 1], [0, 1]]})),
     "state-count-0": ("scatter", dict(SCATTER_R1, in_state={"modes": [[0, 0]]})),
     "state-modes-int": ("scatter", dict(SCATTER_R1, in_state={"modes": 0})),
+    "state-id-unknown": ("scatter", dict(SCATTER_R1, in_state={"modes": [[99, 1]]})),
+    "state-id-negative": ("scatter", dict(SCATTER_R1, in_state={"modes": [[-1, 1]]})),
     "x0-bool": ("scatter", dict(SCATTER_R1, x0=True)),
     "cutoff-0": ("scatter", dict(SCATTER_R1, cutoff_s=0)),
     "mass-negative": ("scatter", dict(SCATTER_R1, mass1=-1)),
@@ -254,6 +257,20 @@ MALFORMED = {
 def test_malformed_input_exit_2(tmp_path, capsys, command, scenario):
     path = write_scenario(tmp_path, scenario)
     code, out, err = run(capsys, [command, "--scenario", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("scenario error:")
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in MALFORMED if name.startswith("state-")]
+)
+def test_in_state_checked_before_hamiltonian(tmp_path, capsys, monkeypatch, name):
+    def unreachable(*args):
+        raise AssertionError("hamiltonian built before in_state was checked")
+
+    monkeypatch.setattr(cli, "hamiltonian", unreachable)
+    command, scenario = MALFORMED[name]
+    code, out, err = run(capsys, [command, "--scenario", write_scenario(tmp_path, scenario)])
     assert (code, out) == (2, "")
     assert err.startswith("scenario error:")
 

@@ -166,6 +166,28 @@ def test_index_state_round_trip():
         assert space.index_of(space.state_at(k)) == k
 
 
+@pytest.mark.parametrize(
+    "space_builder",
+    [lambda: k_space(3), lambda: j_space(2, 3), lambda: l_space(2, 2, 3)],
+)
+def test_occupations_match_basis(space_builder):
+    space = space_builder()
+    occ = space.occupations
+    assert occ.shape == (space.dimension, len(space.modes))
+    assert not occ.flags.writeable
+    for row, state in enumerate(space.basis):
+        assert occ[row].tolist() == [state.count_of(m.id) for m in space.modes]
+
+
+def test_count_of():
+    state = OccupationState(bosons=((0, 2), (1, 1)))
+    assert state.count_of(0) == 2
+    assert state.count_of(1) == 1
+    assert state.count_of(5) == 0
+    assert OccupationState().count_of(0) == 0
+    assert OccupationState(fermions=(0, 1)).count_of(0) == 1
+
+
 def test_vacuum_is_first():
     for space in (k_space(3), j_space(2, 2), l_space(1, 1, 2)):
         assert space.state_at(0).total == 0

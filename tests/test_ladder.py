@@ -3,18 +3,31 @@ import pytest
 
 from toyqft import (
     OccupationState,
+    ParticleMode,
+    Statistics,
     ac_operator,
     annihilator,
     anticommutator,
     commutator,
     creator,
+    build_roster,
+    build_space,
+    canonicalize,
     ket,
-    number_of,
 )
 from toyqft.errors import SpaceMismatch, UnknownMode
 from toyqft.ladder import identity, number_operator
 
-from conftest import generic_coeffs, j_space, k_space, l_space
+from conftest import (
+    boson_modes,
+    fermion_modes,
+    generic_coeffs,
+    j_space,
+    k_space,
+    l_space,
+)
+
+F, B = Statistics.FERMION, Statistics.BOSON
 
 MAXABS = lambda op: np.max(np.abs(op.mat))
 
@@ -135,6 +148,62 @@ def test_boson_boundary_rule_diagonal():
             assert np.max(np.abs(comm[:, idx] - expected)) <= 1e-12
 
 
+def _roster(*entries):
+    return [
+        ParticleMode(i, f"m{i}", stats, mass)
+        for i, (stats, mass) in enumerate(entries)
+    ]
+
+
+INTERLEAVED = _roster((F, 1), (B, 0), (F, 2), (F, 1), (B, 0))
+PAIRS = {"BB": (B, B), "FB": (F, B), "BF": (B, F), "FF": (F, F)}
+
+# name -> (roster, cutoff s)
+ORACLE_SPACES = {
+    "k3": (fermion_modes(3), 3),
+    "k4-s2": (fermion_modes(4), 2),
+    "k2-s1": (fermion_modes(2), 1),
+    "j23": (boson_modes(2), 3),
+    "j32": (boson_modes(3), 2),
+    "j41": (boson_modes(4), 1),
+    "one-boson-s4": (_roster((B, 3)), 4),
+    "l223": (fermion_modes(2) + boson_modes(2, start=2), 3),
+    "same-mass-fermions-boson": (_roster((F, 1), (F, 1), (B, 1), (F, 1)), 4),
+    "interleaved-s2": (INTERLEAVED, 2),
+    "interleaved-s3": (INTERLEAVED, 3),
+    "two-families-two-bosons": (
+        _roster((B, 1), (F, 2), (F, 1), (B, 2), (F, 2), (F, 1)), 3
+    ),
+    **{
+        f"roster-{pair}-r2-s{s}": (build_roster(1, 2, 2, *stats), s)
+        for pair, stats in PAIRS.items()
+        for s in range(1, 5)
+    },
+}
+
+
+def reference_creator(space, mode_id):
+    """a* from the defining action: prepend the mode to each ket's raw
+    sequence and canonicalize, times sqrt of the new count."""
+    mat = np.zeros((space.dimension, space.dimension), dtype=complex)
+    for col, state in enumerate(space.basis):
+        hit = canonicalize(space, (mode_id,) + state.encoding())
+        if hit is None or hit[0] not in space.index:
+            continue
+        target, sign = hit
+        mat[space.index[target], col] = sign * np.sqrt(target.count_of(mode_id))
+    return mat
+
+
+@pytest.mark.parametrize("name", ORACLE_SPACES)
+def test_ladder_matches_canonicalize_reference(name):
+    space = build_space(*ORACLE_SPACES[name])
+    for mode in space.modes:
+        expected = reference_creator(space, mode.id)
+        assert np.array_equal(creator(space, mode.id).mat, expected)
+        assert np.array_equal(annihilator(space, mode.id).mat, expected.T)
+
+
 def test_space_mismatch_rejected():
     a = annihilator(k_space(2), 0)
     b = annihilator(k_space(2), 0)
@@ -145,6 +214,8 @@ def test_space_mismatch_rejected():
 def test_unknown_mode():
     with pytest.raises(UnknownMode):
         annihilator(k_space(2), 5)
+    with pytest.raises(UnknownMode):
+        number_operator(k_space(2), -1)
 
 
 def test_ac_operator_zero_alpha():
@@ -170,15 +241,6 @@ def test_ac_anticommutator_relation(rng):
         for j in range(3):
             expected = (2 * abs(alphas[i]) ** 2 * eye) if i == j else 0 * eye
             assert MAXABS(anticommutator(etas[i], etas[j]) - expected) <= 1e-12
-
-
-def test_number_of():
-    state = OccupationState(bosons=((0, 2), (1, 1)))
-    assert number_of(0, state) == 2
-    assert number_of(1, state) == 1
-    assert number_of(5, state) == 0
-    assert number_of(0, OccupationState()) == 0
-    assert number_of(0, OccupationState(fermions=(0, 1))) == 1
 
 
 def test_number_operator_diagonal():
