@@ -46,20 +46,23 @@ def _sig12(value):
 def _load_scenario(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            scenario = json.load(fh)
     except OSError as exc:
         raise ScenarioError("scenario", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             "scenario", f"{path} line {exc.lineno}: {exc.msg}"
         ) from exc
+    if not isinstance(scenario, dict):
+        raise ScenarioError("scenario", "expected a JSON object")
+    return scenario
 
 
 def _typed(value, field, kind, minimum=None):
     """value if it is a `kind` no less than `minimum`; true/false is no number."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ScenarioError(field, f"expected {getattr(kind, '__name__', 'number')}")
-    if minimum is not None and value < minimum:
+    if minimum is not None and not value >= minimum:  # NaN is not >= anything
         raise ScenarioError(field, f"must be >= {minimum}")
     return value
 
@@ -88,17 +91,18 @@ def _parse_roster(scenario):
             entry.get("statistics", "fermion"), f"roster[{i}].statistics"
         )
         momentum = entry.get("momentum")
+        label = _typed(entry.get("label", f"mode{i}"), f"roster[{i}].label", str)
         try:
             modes.append(
                 ParticleMode(
                     id=i,
-                    label=entry.get("label", f"mode{i}"),
+                    label=label,
                     statistics=stats,
                     mass=int(entry.get("mass", 0)),
                     momentum=tuple(momentum) if momentum else None,
                 )
             )
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:  # int(Infinity)
             raise ScenarioError(f"roster[{i}]", str(exc)) from exc
     return modes
 
@@ -216,84 +220,62 @@ def _run_dims(scenario, fmt):
     return 0
 
 
+# verify's exchange-rule rows per statistics, in report order: exchange
+# relations, number relation, then (bosons only) the boundary rule
+_ROWS = {
+    Statistics.FERMION: (
+        "fermion exchange relations",
+        "fermion number relation (off boundary)",
+    ),
+    Statistics.BOSON: (
+        "boson commutators",
+        "boson CCR (off boundary)",
+        "boson boundary rule [a, a*] = -N",
+    ),
+}
+
+
 def _algebra_checks(space, rng):
-    """Yield (identity name, max violation) over the roster's algebra."""
+    """{identity name: max violation} over the roster's algebra, in
+    report order."""
     eye = np.eye(space.dimension)
     modes = space.modes
     ann = {m.id: annihilator(space, m.id) for m in modes}
     cre = {m.id: creator(space, m.id) for m in modes}
-
-    worst = 0.0
-    for m in modes:
-        diff = np.max(np.abs(cre[m.id].mat - ann[m.id].adjoint().mat))
-        worst = max(worst, diff)
-    yield "creator = adjoint(annihilator)", worst
-
-    worst = 0.0
-    for m in modes:
-        alpha = complex(rng.normal(), rng.normal())
-        eta = alpha * ann[m.id] + np.conj(alpha) * cre[m.id]
-        worst = max(worst, np.max(np.abs(eta.mat - eta.mat.conj().T)))
-    yield "AC-operator Hermitian", worst
-
-    fermions = [m for m in modes if m.statistics is Statistics.FERMION]
-    bosons = [m for m in modes if m.statistics is Statistics.BOSON]
     occ = space.occupations
     off = occ.sum(1) < space.cutoff_s
+    present = {m.statistics for m in modes}
+    rows = ["creator = adjoint(annihilator)", "AC-operator Hermitian"]
+    rows += [row for st, names in _ROWS.items() if st in present for row in names]
+    worst = dict.fromkeys(rows, 0.0)
 
-    if fermions:
-        worst = 0.0
-        num_worst = 0.0
-        for mi in fermions:
-            for mj in fermions:
-                same = fermion_family(mi) == fermion_family(mj)
-                a_i, a_j = ann[mi.id], ann[mj.id]
-                c_j = cre[mj.id]
-                if same:
-                    worst = max(
-                        worst, np.max(np.abs(anticommutator(a_i, a_j).mat))
-                    )
-                    mixed = anticommutator(a_i, c_j).mat
-                    delta = eye if mi.id == mj.id else 0.0
-                else:
-                    worst = max(
-                        worst, np.max(np.abs(commutator(a_i, a_j).mat))
-                    )
-                    mixed = commutator(a_i, c_j).mat
-                    delta = 0.0
-                num_worst = max(
-                    num_worst, np.max(np.abs((mixed - delta)[:, off]))
-                )
-        yield "fermion exchange relations", worst
-        yield "fermion number relation (off boundary)", num_worst
+    def note(row, violation):
+        worst[row] = max(worst[row], np.max(np.abs(violation)))
 
-    if bosons:
-        worst = 0.0
-        ccr_worst = 0.0
-        bdry_worst = 0.0
-        for mi in bosons:
-            for mj in bosons:
-                a_i, a_j = ann[mi.id], ann[mj.id]
-                worst = max(worst, np.max(np.abs(commutator(a_i, a_j).mat)))
-                worst = max(
-                    worst,
-                    np.max(
-                        np.abs(commutator(cre[mi.id], cre[mj.id]).mat)
-                    ),
-                )
-                mixed = commutator(a_i, cre[mj.id]).mat
-                delta = eye if mi.id == mj.id else 0.0
-                ccr_worst = max(
-                    ccr_worst, np.max(np.abs((mixed - delta)[:, off]))
-                )
-            diag = commutator(ann[mi.id], cre[mi.id]).mat
-            expected = -np.diag(occ[:, mi.id])
-            bdry_worst = max(
-                bdry_worst, np.max(np.abs((diag - expected)[:, ~off]))
-            )
-        yield "boson commutators", worst
-        yield "boson CCR (off boundary)", ccr_worst
-        yield "boson boundary rule [a, a*] = -N", bdry_worst
+    for m in modes:
+        note(rows[0], cre[m.id].mat - ann[m.id].adjoint().mat)
+        alpha = complex(rng.normal(), rng.normal())
+        eta = alpha * ann[m.id] + np.conj(alpha) * cre[m.id]
+        note(rows[1], eta.mat - eta.mat.conj().T)
+
+    # Same-family fermions anticommute and every other same-statistics
+    # pair commutes; the boundary rule reuses the i = j bracket [a_i, a_i*].
+    for i, mi in enumerate(modes):
+        for j, mj in enumerate(modes):
+            if mi.statistics is not mj.statistics:
+                continue
+            boson = mi.statistics is Statistics.BOSON
+            exchange, number, *boundary = _ROWS[mi.statistics]
+            anti = not boson and fermion_family(mi) == fermion_family(mj)
+            bracket = anticommutator if anti else commutator
+            note(exchange, bracket(ann[i], ann[j]).mat)
+            if boson:
+                note(exchange, bracket(cre[i], cre[j]).mat)
+            mixed = bracket(ann[i], cre[j]).mat
+            note(number, (mixed - (eye if i == j else 0.0))[:, off])
+            if boson and i == j:
+                note(boundary[0], (mixed + np.diag(occ[:, i]))[:, ~off])
+    return worst
 
 
 def _run_verify(scenario, fmt, tol):
@@ -302,7 +284,7 @@ def _run_verify(scenario, fmt, tol):
     rng = np.random.default_rng(seed)
     rows = []
     failed = False
-    for name, violation in _algebra_checks(space, rng):
+    for name, violation in _algebra_checks(space, rng).items():
         ok = violation <= tol
         failed = failed or not ok
         rows.append([name, float(violation), "pass" if ok else "FAIL"])
@@ -317,6 +299,8 @@ def _run_verify(scenario, fmt, tol):
 
 
 def _run_spectrum(scenario, fmt, tol):
+    if not 0 < tol < float("inf"):  # also false for NaN
+        raise ScenarioError("tol", "must be a finite number > 0")
     space = _parse_space(scenario)
     phi = _parse_field(space, _require(scenario, "field"), "field")
     if "field2" in scenario:
@@ -327,7 +311,7 @@ def _run_spectrum(scenario, fmt, tol):
         op = self_interaction(phi)
     else:
         op = phi
-    decomp = eigh(op, group_tol=tol if tol else 1e-8)
+    decomp = eigh(op, group_tol=tol)
     report = {
         "kind": "spectrum",
         "columns": ["lambda", "multiplicity"],

@@ -98,9 +98,6 @@ class OccupationState:
         }
 
 
-VACUUM = OccupationState()
-
-
 @dataclass(frozen=True)
 class FockSpace:
     """Enumerated basis of all occupation states with total count <= cutoff_s.

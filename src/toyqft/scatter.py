@@ -16,7 +16,7 @@ from .errors import EmptyRoster
 from .fields import interaction_field
 from .fock import ParticleMode, Statistics
 from .ladder import OperatorMatrix
-from .spacetime import LatticePoint, field_at, hyperboloid, phase, space_slice
+from .spacetime import _QUARTER_TURNS, LatticePoint, field_at, hyperboloid, space_slice
 from .spectral import eigh, unitary_exp
 
 
@@ -47,9 +47,9 @@ def build_roster(mass1, mass2, r, statistics1=Statistics.BOSON,
 
 def _mass_blocks(space, r, m1, m2):
     n1 = len(hyperboloid(m1, r))
-    n2 = len(hyperboloid(m2, r))
+    n = len(build_roster(m1, m2, r))  # EmptyRoster if a block is empty
     ids = [m.id for m in space.modes]
-    return ids[:n1], ids[n1 : n1 + n2]
+    return ids[:n1], ids[n1:n]
 
 
 def hamiltonian_density(space, x, r, m1, m2):
@@ -60,6 +60,15 @@ def hamiltonian_density(space, x, r, m1, m2):
     return interaction_field(phi, psi)
 
 
+def _momentum_table(space):
+    """(P, labeled): P[n] is ket n's summed 4-momentum, an unlabeled mode
+    adding 0, and labeled[n] says ket n occupies no unlabeled mode."""
+    occ = space.occupations
+    labels = np.array([m.momentum or (0,) * 4 for m in space.modes], dtype=np.int64)
+    unlabeled = [m.momentum is None for m in space.modes]
+    return occ @ labels.reshape(-1, 4), ~occ[:, unlabeled].any(1)
+
+
 def hamiltonian(space, x0, r, m1, m2):
     """Average of the density over the time-x0 slice {|x| <= x0}.
 
@@ -67,16 +76,15 @@ def hamiltonian(space, x0, r, m1, m2):
     4-momentum P by p, so tau(x) = D(x) tau(0) D(x)* exactly, with
     D(x) = diag(i^(-P_n.x)).  The average is tau(0) times M entry by
     entry, M_mn = avg_x i^((P_n - P_m).x) = (d d*)_mn / |slice| where
-    column k of d is the diagonal of D(x_k).  P counts the two mass
-    blocks only; other modes' occupations cancel in P_n - P_m.
+    column k of d is the diagonal of D(x_k).  Modes the fields do not
+    move cancel in P_n - P_m wherever tau(0) is nonzero.
     """
     points = space_slice(x0)
     tau = hamiltonian_density(space, LatticePoint(0), r, m1, m2)
-    moved = [i for block in _mass_blocks(space, r, m1, m2) for i in block]
-    labels = np.array([space.mode(i).momentum for i in moved], dtype=int)
-    # (-1, 4) keeps a block with no modes (r below its mass) a 0x4 table
-    momenta = (space.occupations[:, moved] @ labels.reshape(-1, 4)).tolist()
-    d = np.array([[phase(p, x) for x in points] for p in momenta]).conj()
+    momenta, _ = _momentum_table(space)
+    # row k of g is slice point k as (x0, -x), so P @ g.T holds P.x
+    g = np.array([x.as_tuple() for x in points]) * (1, -1, -1, -1)
+    d = np.array(_QUARTER_TURNS)[(momenta @ g.T) % 4].conj()
     return OperatorMatrix(space, tau.mat * (d @ d.conj().T / len(points)))
 
 
@@ -103,17 +111,11 @@ def probability(s, in_state, out_state):
 
 
 def total_momentum(space, state):
-    """Summed 4-momentum of a state's occupied modes, or None when some
-    occupied mode carries no momentum label."""
-    total = (0, 0, 0, 0)
-    for mode in space.modes:
-        n = state.count_of(mode.id)
-        if n == 0:
-            continue
-        if mode.momentum is None:
-            return None
-        total = tuple(t + n * c for t, c in zip(total, mode.momentum))
-    return total
+    """Summed 4-momentum of a basis state's occupied modes, or None when
+    some occupied mode carries no momentum label."""
+    momenta, labeled = _momentum_table(space)
+    n = space.index_of(state)
+    return tuple(momenta[n].tolist()) if labeled[n] else None
 
 
 @dataclass(frozen=True)
@@ -133,18 +135,15 @@ def probability_table(s, in_state, threshold=0.0, enforce_conservation=False):
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     space = s.space
-    p_in = total_momentum(space, in_state)
-    col = s.mat[:, space.index_of(in_state)]
-    rows = []
-    for idx, amp in enumerate(col):
-        prob = abs(amp) ** 2
-        if prob <= threshold:
-            continue
-        out = space.state_at(idx)
-        p_out = total_momentum(space, out)
-        conserves = None if p_in is None or p_out is None else p_out == p_in
-        if enforce_conservation and conserves is False:
-            continue
-        rows.append(ProbabilityRow(out, prob, conserves))
-    rows.sort(key=lambda row: (-row.probability, space.index_of(row.out_state)))
-    return rows
+    momenta, labeled = _momentum_table(space)
+    n_in = space.index_of(in_state)
+    col = s.mat[:, n_in]
+    # np.hypot matches the scalar abs() bit for bit; the array np.abs does not
+    prob = np.hypot(col.real, col.imag) ** 2
+    flagged = labeled & labeled[n_in]
+    conserves = (momenta == momenta[n_in]).all(1)
+    keep = (prob > threshold) & (conserves | ~flagged | (not enforce_conservation))
+    kept = np.flatnonzero(keep)
+    kept = kept[np.argsort(-prob[kept], kind="stable")].tolist()
+    flags = np.where(flagged, conserves, None)
+    return [ProbabilityRow(space.state_at(n), float(prob[n]), flags[n]) for n in kept]

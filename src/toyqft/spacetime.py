@@ -46,10 +46,6 @@ class EnergyMomentum:
     def as_tuple(self):
         return (self.p0,) + tuple(self.p)
 
-    @property
-    def mass_sq(self):
-        return minkowski_sq(self.as_tuple())
-
 
 def minkowski_sq(v):
     """Squared Minkowski interval v0^2 - v1^2 - v2^2 - v3^2."""

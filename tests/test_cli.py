@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toyqft import cli
 from toyqft.cli import emit_report, main
+from toyqft.ladder import OperatorMatrix
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -246,10 +253,19 @@ MALFORMED = {
     "mass-negative": ("scatter", dict(SCATTER_R1, mass1=-1)),
     "threshold-str": ("scatter", dict(SCATTER_R1, threshold="high")),
     "threshold-negative": ("scatter", dict(SCATTER_R1, threshold=-1.0)),
+    "threshold-nan": ("scatter", dict(SCATTER_R1, threshold=float("nan"))),
     "field-id-str": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": "a"}])),
     "field-id-float": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 1.5}])),
     "field-alpha-str": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": ["1", 0]}])),
     "cutoff-bool": ("dims", dict(FERMION_ROSTER_K3, cutoff_s=True)),
+    "scenario-number": ("dims", 2),
+    "scenario-null": ("verify", None),
+    "scenario-true": ("spectrum", True),
+    "scenario-float": ("scatter", 0.5),
+    "label-int": ("dims", {"roster": [{"label": 7}], "cutoff_s": 1, "dump_basis": True}),
+    "label-null": ("dims", {"roster": [{"label": None}], "cutoff_s": 1, "dump_basis": True}),
+    "label-list": ("dims", {"roster": [{"label": ["p"]}], "cutoff_s": 1, "dump_basis": True}),
+    "mass-infinity": ("dims", {"roster": [{"mass": float("inf")}], "cutoff_s": 1}),
 }
 
 
@@ -273,6 +289,133 @@ def test_in_state_checked_before_hamiltonian(tmp_path, capsys, monkeypatch, name
     code, out, err = run(capsys, [command, "--scenario", write_scenario(tmp_path, scenario)])
     assert (code, out) == (2, "")
     assert err.startswith("scenario error:")
+
+
+SPECTRUM_K3 = dict(FERMION_ROSTER_K3, field=[{"mode": 0}, {"mode": 1, "alpha": [0.0, 1.0]}])
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_spectrum_rejects_bad_tol(tmp_path, capsys, tol):
+    path = write_scenario(tmp_path, SPECTRUM_K3)
+    code, out, err = run(capsys, ["spectrum", "--scenario", path, "--tol", tol])
+    assert (code, out) == (2, "")
+    assert err.startswith("scenario error: tol:")
+
+
+# Roster [F m1, B, F m1, B] at s=3: two same-family fermions, two bosons.
+MIXED_ROSTER = {
+    "roster": [
+        {"statistics": "fermion", "mass": 1},
+        {"statistics": "boson"},
+        {"statistics": "fermion", "mass": 1},
+        {"statistics": "boson"},
+    ],
+    "cutoff_s": 3,
+}
+VERIFY_ROWS = [
+    "creator = adjoint(annihilator)",
+    "AC-operator Hermitian",
+    "fermion exchange relations",
+    "fermion number relation (off boundary)",
+    "boson commutators",
+    "boson CCR (off boundary)",
+    "boson boundary rule [a, a*] = -N",
+]
+
+
+def _mutated(ladder, change):
+    return lambda space, mode_id: OperatorMatrix(space, change(ladder(space, mode_id).mat))
+
+
+def _unsigned(mat):
+    return np.abs(mat).astype(complex)
+
+
+def _unit_sqrt(mat):
+    return np.sign(mat.real).astype(complex)
+
+
+VERIFY_MUTATIONS = {
+    "none": (None, set()),
+    "unsigned": (_unsigned, {VERIFY_ROWS[2], VERIFY_ROWS[3]}),
+    "unit-sqrt": (_unit_sqrt, {VERIFY_ROWS[5], VERIFY_ROWS[6]}),
+    "creator-x1.5": ("creator", set(VERIFY_ROWS) - {VERIFY_ROWS[2], VERIFY_ROWS[4]}),
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_MUTATIONS)
+def test_verify_catches_broken_ladders(tmp_path, capsys, monkeypatch, name):
+    change, failing = VERIFY_MUTATIONS[name]
+    if change == "creator":
+        monkeypatch.setattr(cli, "creator", _mutated(cli.creator, lambda m: 1.5 * m))
+    elif change is not None:
+        monkeypatch.setattr(cli, "annihilator", _mutated(cli.annihilator, change))
+        monkeypatch.setattr(cli, "creator", _mutated(cli.creator, change))
+    path = write_scenario(tmp_path, MIXED_ROSTER)
+    code, out, _ = run(capsys, ["verify", "--scenario", path])
+    rows = json.loads(out)["rows"]
+    assert [row[0] for row in rows] == VERIFY_ROWS
+    assert {row[0] for row in rows if row[2] == "FAIL"} == failing
+    assert code == (1 if failing else 0)
+
+
+# One valid scenario per command; the fuzz test breaks one field of one.
+VALID = {
+    "dims": dict(FERMION_ROSTER_K3, dump_basis=True),
+    "verify": {"roster": [{"statistics": "fermion", "mass": 1}, {"statistics": "boson"}], "cutoff_s": 2},
+    "spectrum": dict(SPECTRUM_K3, field2=[{"mode": 2}]),
+    "scatter": dict(SCATTER_R1, threshold=0.0),
+    "lattice": {"mass": 1, "r": 2, "x0": 1},
+}
+SMALL_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-3, 3),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+
+
+@st.composite
+def broken_scenarios(draw):
+    """(command, scenario, extra argv): a valid scenario, or one with one
+    field, at most one level down, deleted or replaced by a JSON value of
+    another type."""
+    command = draw(st.sampled_from(sorted(VALID)))
+    scenario = json.loads(json.dumps(VALID[command]))
+    extra = []
+    if command in ("verify", "spectrum") and draw(st.booleans()):
+        extra = ["--tol", draw(st.sampled_from(["0", "-1", "nan", "inf", "1e-3"]))]
+    if not draw(st.booleans()):
+        return command, scenario, extra
+    parent = scenario
+    key = draw(st.sampled_from(sorted(scenario)))
+    child = scenario[key]
+    if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+        parent = child
+        key = draw(st.sampled_from(sorted(child) if isinstance(child, dict) else range(len(child))))
+    old = parent[key]
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(SMALL_JSON.filter(lambda v: type(v) is not type(old)))
+    return command, scenario, extra
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(broken_scenarios())
+def test_fuzzed_scenarios_exit_cleanly(case):
+    command, scenario, extra = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--scenario", str(path), *extra])
+    assert code in ((0, 1, 2) if command == "verify" else (0, 2))
+    assert code != 2 or (out.getvalue() == "" and err.getvalue().startswith(("scenario error:", "error:")))
 
 
 def test_json_output_byte_identical(tmp_path, capsys):

@@ -109,34 +109,45 @@ def test_hamiltonian_x0_zero_is_origin_density():
 B, F = Statistics.BOSON, Statistics.FERMION
 STATS = {"BB": (B, B), "FB": (F, B), "BF": (B, F), "FF": (F, F)}
 SLICE_CASES = [
-    (stats, masses, r, x0, False)
+    (stats, masses, r, x0, None)
     for stats in STATS
     for masses in [(1, 1), (1, 2), (2, 1)]
     for r in (1, 2)
     for x0 in (0, 1, 2)
     if r >= max(masses)
-] + [("FB", (1, 2), 2, 1, True)]
+] + [("FB", (1, 2), 2, 1, "extra"), ("FB", (1, 2), 2, 1, "labeled")]
 
 
 @pytest.mark.parametrize(
     "stats, masses, r, x0, extra_mode",
     SLICE_CASES,
     ids=[
-        f"{st}-m{m1}{m2}-r{r}-x{x0}" + ("-extra" if extra else "")
+        f"{st}-m{m1}{m2}-r{r}-x{x0}" + (f"-{extra}" if extra else "")
         for st, (m1, m2), r, x0, extra in SLICE_CASES
     ],
 )
 def test_hamiltonian_averages_slice_densities(stats, masses, r, x0, extra_mode):
     m1, m2 = masses
     roster = build_roster(m1, m2, r, *STATS[stats])
-    if extra_mode:
+    if extra_mode == "extra":
         # A mode no field moves, with no momentum label.
         roster.append(ParticleMode(len(roster), "spectator", B))
+    elif extra_mode == "labeled":
+        # A mode no field moves whose momentum does enter P.x on the slice.
+        roster.append(ParticleMode(len(roster), "spectator", B, 1, (2, 1, 1, 1)))
     space = build_space(roster, 2)
     h = hamiltonian(space, x0, r, m1, m2)
     points = space_slice(x0)
     mean = sum(hamiltonian_density(space, x, r, m1, m2).mat for x in points)
     assert np.max(np.abs(h.mat - mean / len(points))) <= 1e-14
+
+
+def test_hamiltonian_rejects_empty_mass_block():
+    space = boson_space()
+    with pytest.raises(EmptyRoster, match="mass-1 hyperboloid empty for r=0"):
+        hamiltonian(space, 0, 0, 1, 1)
+    with pytest.raises(EmptyRoster, match="mass-2 hyperboloid empty for r=1"):
+        hamiltonian_density(space, LatticePoint(0), 1, 1, 2)
 
 
 def test_hamiltonian_norm_contraction():
@@ -230,6 +241,55 @@ def test_probability_table_conservation_filter():
     p_in = total_momentum(space, state_in)
     for row in kept:
         assert total_momentum(space, row.out_state) == p_in
+
+
+def reference_table(s, in_state, threshold, enforce):
+    """probability_table ket by ket: (index, probability, flag) rows."""
+    space = s.space
+
+    def momentum(state):
+        occupied = [m for m in space.modes if state.count_of(m.id)]
+        if any(m.momentum is None for m in occupied):
+            return None
+        return tuple(sum(state.count_of(m.id) * m.momentum[k] for m in occupied) for k in range(4))
+
+    rows = []
+    for n, out in enumerate(space.basis):
+        prob = abs(s.mat[n, space.index_of(in_state)]) ** 2
+        p_in, p_out = momentum(in_state), momentum(out)
+        flag = None if p_in is None or p_out is None else p_out == p_in
+        if prob > threshold and not (enforce and flag is False):
+            rows.append((n, prob, flag))
+    return sorted(rows, key=lambda row: (-row[1], row[0]))
+
+
+@pytest.mark.parametrize("unitary", ["random", "scattering"])
+@pytest.mark.parametrize("enforce", [False, True])
+@pytest.mark.parametrize("threshold", [0.0, 1e-3])
+@pytest.mark.parametrize("in_modes", [(), ((0, 1), (9, 1)), ((9, 1), (10, 1))])
+def test_probability_table_matches_ket_by_ket(in_modes, threshold, enforce, unitary):
+    # Fermion block, boson block, then an unlabeled boson spectator (10).
+    # A random unitary reaches out-states that occupy the spectator; the
+    # scattering operator gives many exactly tied probabilities.
+    roster = build_roster(1, 2, 2, F, B)
+    roster.append(ParticleMode(len(roster), "spectator", B))
+    space = build_space(roster, 2)
+    if unitary == "random":
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(2, space.dimension, space.dimension))
+        s = OperatorMatrix(space, np.linalg.qr(z[0] + 1j * z[1])[0])
+    else:
+        s = scattering_operator(hamiltonian(space, 1, 2, 1, 2))
+    fermions = tuple(m for m, _ in in_modes if m < 9)
+    in_state = OccupationState(fermions, tuple(p for p in in_modes if p[0] >= 9))
+    rows = probability_table(s, in_state, threshold, enforce_conservation=enforce)
+    got = [(space.index_of(r.out_state), r.conserves_momentum) for r in rows]
+    expected = reference_table(s, in_state, threshold, enforce)
+    assert got == [(n, flag) for n, _, flag in expected]
+    assert np.allclose([r.probability for r in rows], [p for _, p, _ in expected], rtol=0, atol=1e-15)
+    flags = {flag for _, flag in got}
+    if unitary == "random":
+        assert flags == ({None} if 10 in dict(in_modes) else {True, None} if enforce else {True, False, None})
 
 
 def test_total_momentum():
