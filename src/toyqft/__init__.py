@@ -7,7 +7,6 @@ from .fock import (
     Statistics,
     build_space,
     canonicalize,
-    dimension,
     ket,
 )
 from .ladder import (

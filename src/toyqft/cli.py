@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ScenarioError, ToyQFTError, UnknownMode
+from .errors import NotInBasis, ScenarioError, ToyQFTError, UnknownMode
 from .fields import free_field, interaction_field, self_interaction
 from .fock import (
     OccupationState,
@@ -160,8 +160,10 @@ def _parse_state(space, raw, field_name):
         state = OccupationState(tuple(sorted(fermions)), tuple(sorted(bosons)))
     except ValueError as exc:  # a mode listed twice
         raise ScenarioError(field_name, str(exc)) from None
-    if state not in space.index:
-        raise ScenarioError(field_name, "state outside the basis")
+    try:
+        space.index_of(state)
+    except NotInBasis:
+        raise ScenarioError(field_name, "state outside the basis") from None
     return state
 
 
@@ -279,6 +281,8 @@ def _algebra_checks(space, rng):
 
 
 def _run_verify(scenario, fmt, tol):
+    if not abs(tol) < float("inf"):  # also true for NaN
+        raise ScenarioError("tol", "must be a finite number")
     space = _parse_space(scenario)
     seed = int(os.environ.get(SEED_ENV, "0"))
     rng = np.random.default_rng(seed)
@@ -322,6 +326,8 @@ def _run_spectrum(scenario, fmt, tol):
 
 
 def _run_scatter(scenario, fmt, enforce, coupling):
+    if not abs(coupling) < float("inf"):  # also true for NaN
+        raise ScenarioError("coupling", "must be a finite number")
     mass1 = _require(scenario, "mass1", int, minimum=1)
     mass2 = _require(scenario, "mass2", int, minimum=1)
     r = _require(scenario, "r", int)

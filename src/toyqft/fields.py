@@ -8,6 +8,8 @@ interaction of two fields is their symmetrized product.
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DuplicateTerm, NotAForm
 from .ladder import ac_operator, anticommutator, zero
 
@@ -67,30 +69,14 @@ def classify_form(space, vector, p_mode, q_mode, tol=1e-9):
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    pairs = []
-    spectator = None
-    for idx, amp in enumerate(vector):
-        if abs(amp) <= tol:
-            continue
-        state = space.state_at(idx)
-        i = state.count_of(p_mode)
-        j = state.count_of(q_mode)
-        rest = (
-            tuple(f for f in state.fermions if f not in (p_mode, q_mode)),
-            tuple(b for b in state.bosons if b[0] not in (p_mode, q_mode)),
-        )
-        if spectator is None:
-            spectator = rest
-        elif rest != spectator:
-            raise NotAForm(
-                "contributing kets differ outside the tracked modes"
-            )
-        pairs.append((i, j))
+    tracked = [space.mode(p_mode).id, space.mode(q_mode).id]  # UnknownMode
+    others = [m.id for m in space.modes if m.id not in tracked]
+    v = np.asarray(vector)
+    occ = space.occupations[np.hypot(v.real, v.imag) > tol]
+    pairs, spectators = occ[:, tracked], occ[:, others]
+    if (spectators != spectators[:1]).any():
+        raise NotAForm("contributing kets differ outside the tracked modes")
 
-    if all((i + j) % 2 == 0 for i, j in pairs):
-        parity = Parity.EVEN
-    elif all((i + j) % 2 == 1 for i, j in pairs):
-        parity = Parity.ODD
-    else:
-        parity = Parity.MIXED
-    return FormClassification(len(pairs), tuple(pairs), parity)
+    odd = set((pairs.sum(1) % 2).tolist())
+    parity = Parity.MIXED if len(odd) > 1 else Parity.ODD if odd == {1} else Parity.EVEN
+    return FormClassification(len(pairs), tuple(map(tuple, pairs.tolist())), parity)

@@ -85,7 +85,7 @@ class OccupationState:
 
     def encoding(self):
         """Canonical flat encoding: fermion ids, then boson ids with
-        multiplicity.  Used for the basis sort order."""
+        multiplicity.  The basis is ordered by it within each total."""
         expanded = []
         for m, c in self.bosons:
             expanded.extend([m] * c)
@@ -102,22 +102,31 @@ class OccupationState:
 class FockSpace:
     """Enumerated basis of all occupation states with total count <= cutoff_s.
 
-    Basis order: total particle count ascending, then lexicographic on the
-    canonical encoding (fermion block first).  Index 0 is the vacuum.
-    occupations[ket, mode] is the read-only integer count table of the
-    basis, the array form that operator builders read counts from.
-    Immutable after construction.
+    The read-only count table occupations[ket, mode] is the basis.  Order:
+    total particle count ascending, then lexicographic on the canonical
+    encoding (fermion block first); ket 0 is the vacuum.  OccupationState
+    objects are made only at the edges.  Immutable after construction.
     """
 
     modes: tuple
     cutoff_s: int
-    basis: tuple
-    index: dict = field(compare=False, repr=False)
     occupations: np.ndarray = field(compare=False, repr=False)
+    # sorted row keys and the ket of each, built once for every row search
+    _lookup: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        keys = _row_keys(self.occupations)
+        order = np.argsort(keys)
+        object.__setattr__(self, "_lookup", (keys[order], order))
 
     @property
     def dimension(self):
-        return len(self.basis)
+        return len(self.occupations)
+
+    @property
+    def basis(self):
+        """Every ket as an OccupationState, in basis order."""
+        return tuple(self.state_at(n) for n in range(self.dimension))
 
     def mode(self, mode_id):
         if 0 <= mode_id < len(self.modes):
@@ -127,20 +136,41 @@ class FockSpace:
     def is_fermion(self, mode_id):
         return self.mode(mode_id).statistics is Statistics.FERMION
 
+    def find_rows(self, rows):
+        """Ket of each row of a C-contiguous count table, -1 if it is none."""
+        known, kets = self._lookup
+        wanted = _row_keys(rows)
+        pos = np.minimum(np.searchsorted(known, wanted), len(known) - 1)
+        return np.where(known[pos] == wanted, kets[pos], -1)
+
     def index_of(self, state):
-        try:
-            return self.index[state]
-        except KeyError:
-            raise NotInBasis(f"state {state} not in basis") from None
+        row = np.zeros((1, len(self.modes)), dtype=np.int64)
+        entries = [(f, 1) for f in state.fermions] + list(state.bosons)
+        for k, (mode_id, count) in enumerate(entries):
+            fits = 0 <= mode_id < len(self.modes) and state.total <= self.cutoff_s
+            if not (fits and self.is_fermion(mode_id) == (k < len(state.fermions))):
+                raise NotInBasis(f"state {state} not in basis")
+            row[0, mode_id] = count
+        return int(self.find_rows(row)[0])  # every such row is a ket
 
     def state_at(self, ordinal):
-        if 0 <= ordinal < len(self.basis):
-            return self.basis[ordinal]
-        raise NotInBasis(f"ordinal {ordinal} out of range")
+        if not 0 <= ordinal < self.dimension:
+            raise NotInBasis(f"ordinal {ordinal} out of range")
+        counts = enumerate(self.occupations[ordinal].tolist())
+        occupied = [(i, c) for i, c in counts if c]
+        fermions = tuple(i for i, _ in occupied if self.is_fermion(i))
+        bosons = tuple(b for b in occupied if b[0] not in fermions)
+        return OccupationState(fermions, bosons)
 
     def basis_to_json(self):
         """Ordered basis dump: fermion ids and boson counts per ket."""
         return [state.to_json() for state in self.basis]
+
+
+def _row_keys(rows):
+    """One opaque, sortable key per row of a C-contiguous count table."""
+    width = rows.itemsize * rows.shape[1]  # 0 only for the no-mode vacuum
+    return rows.view(f"V{width}").ravel() if width else np.zeros(len(rows), "V1")
 
 
 def build_space(modes, cutoff_s):
@@ -156,37 +186,25 @@ def build_space(modes, cutoff_s):
     if sorted(ids) != list(range(len(modes))):
         raise InvalidRoster(f"mode ids {ids} are not dense 0..{len(modes) - 1}")
     modes = tuple(sorted(modes, key=lambda m: m.id))
+    fermion = np.array([m.statistics is Statistics.FERMION for m in modes], bool)
 
-    states = []
+    # every count row with total <= cutoff_s, one mode (column) at a time
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for cap in np.where(fermion, 1, cutoff_s).tolist():
+        count = np.tile(np.arange(cap + 1), len(rows))
+        rows = np.column_stack([np.repeat(rows, cap + 1, axis=0), count])
+        rows = rows[rows.sum(1) <= cutoff_s]
 
-    def fill(k, budget, fermions, bosons):
-        if k == len(modes):
-            states.append(OccupationState(tuple(fermions), tuple(bosons)))
-            return
-        mode = modes[k]
-        fill(k + 1, budget, fermions, bosons)
-        cap = min(1, budget) if mode.statistics is Statistics.FERMION else budget
-        for n in range(1, cap + 1):
-            if mode.statistics is Statistics.FERMION:
-                fill(k + 1, budget - n, fermions + [mode.id], bosons)
-            else:
-                fill(k + 1, budget - n, fermions, bosons + [(mode.id, n)])
-
-    fill(0, cutoff_s, [], [])
-    states.sort(key=lambda st: (st.total, st.encoding()))
-    index = {st: i for i, st in enumerate(states)}
-    occupations = np.zeros((len(states), len(modes)), dtype=np.int64)
-    for row, st in enumerate(states):
-        occupations[row, list(st.fermions)] = 1
-        for m, c in st.bosons:
-            occupations[row, m] = c
+    # sort by (total, encoding): encoding entry j is the first canonical
+    # column (fermions, then bosons) whose running count passes j, or -1
+    canonical = np.argsort(~fermion, kind="stable")
+    running = rows[:, canonical].cumsum(1)
+    padded = np.append(canonical, -1)
+    encoding = [padded[(running <= j).sum(1)] for j in range(cutoff_s)]
+    order = np.lexsort([*encoding[::-1], rows.sum(1)])
+    occupations = np.ascontiguousarray(rows[order])
     occupations.flags.writeable = False
-    return FockSpace(modes, cutoff_s, tuple(states), index, occupations)
-
-
-def dimension(space):
-    """Basis size of the space."""
-    return space.dimension
+    return FockSpace(modes, cutoff_s, occupations)
 
 
 def fermion_dimension(s):

@@ -77,12 +77,6 @@ def zero(space):
     )
 
 
-def _row_keys(occupations):
-    """One opaque, sortable key per row of a C-contiguous count table."""
-    width = occupations.itemsize * occupations.shape[1]
-    return occupations.view(np.dtype((np.void, width))).ravel()
-
-
 def _ladder(space, mode_id, step):
     """Matrix that moves each ket's count of one mode by step (-1 or +1).
 
@@ -96,12 +90,8 @@ def _ladder(space, mode_id, step):
     occ = space.occupations
     shifted = occ.copy()
     shifted[:, mode_id] += step
-    keys = _row_keys(occ)
-    order = np.argsort(keys)
-    known = keys[order]
-    wanted = _row_keys(shifted)
-    pos = np.minimum(np.searchsorted(known, wanted), len(known) - 1)
-    cols = np.flatnonzero(known[pos] == wanted)
+    rows = space.find_rows(shifted)
+    cols = np.flatnonzero(rows >= 0)
     values = np.sqrt(np.maximum(occ[cols, mode_id], shifted[cols, mode_id]))
     if mode.statistics is Statistics.FERMION:
         family = fermion_family(mode)
@@ -112,7 +102,7 @@ def _ladder(space, mode_id, step):
         ]
         values = np.where(occ[cols][:, ahead].sum(1) % 2, -values, values)
     mat = np.zeros((space.dimension, space.dimension), dtype=complex)
-    mat[order[pos[cols]], cols] = values
+    mat[rows[cols], cols] = values
     return OperatorMatrix(space, mat)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,29 @@ def test_spectrum_rejects_bad_tol(tmp_path, capsys, tol):
     code, out, err = run(capsys, ["spectrum", "--scenario", path, "--tol", tol])
     assert (code, out) == (2, "")
     assert err.startswith("scenario error: tol:")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_tol(tmp_path, capsys, tol):
+    path = write_scenario(tmp_path, FERMION_ROSTER_K3)
+    code, out, err = run(capsys, ["verify", "--scenario", path, f"--tol={tol}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("scenario error: tol:")
+
+
+@pytest.mark.parametrize("coupling", ["nan", "inf", "-inf"])
+def test_scatter_rejects_non_finite_coupling(tmp_path, capsys, monkeypatch, coupling):
+    def unreachable(*args):
+        raise AssertionError("space built before the coupling was checked")
+
+    monkeypatch.setattr(cli, "build_space", unreachable)
+    path = write_scenario(tmp_path, SCATTER_R1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["scatter", "--scenario", path, f"--coupling={coupling}"])
+    assert (code, out) == (2, "")
+    assert err == "scenario error: coupling: must be a finite number\n"
+    assert caught == []
 
 
 # Roster [F m1, B, F m1, B] at s=3: two same-family fermions, two bosons.

@@ -11,7 +11,7 @@ from toyqft import (
     ket,
     self_interaction,
 )
-from toyqft.errors import DuplicateTerm, NotAForm, SpaceMismatch
+from toyqft.errors import DuplicateTerm, NotAForm, SpaceMismatch, UnknownMode
 from toyqft.ladder import identity, zero
 
 from conftest import generic_coeffs, j_space, k_space, l_space
@@ -242,3 +242,55 @@ def test_classify_tolerance_filters_noise():
     v[1] = 1e-12
     cls = classify_form(space, v, 0, 1, tol=1e-9)
     assert cls.type_t == 1
+
+
+@pytest.mark.parametrize("p_mode, q_mode", [(99, 0), (-1, 0), (0, 99), (0, -1)])
+def test_classify_unknown_mode(p_mode, q_mode):
+    space = j_space(2, 2)
+    v = np.zeros(space.dimension)
+    v[0] = 1.0
+    with pytest.raises(UnknownMode):
+        classify_form(space, v, p_mode, q_mode)
+
+
+def reference_classify(space, vector, p_mode, q_mode, tol):
+    """classify_form ket by ket: (type, form, parity), or None for no form."""
+    pairs, spectator = [], None
+    for idx, amp in enumerate(vector):
+        if abs(amp) <= tol:
+            continue
+        state = space.state_at(idx)
+        rest = [state.count_of(m.id) for m in space.modes if m.id not in (p_mode, q_mode)]
+        if spectator not in (None, rest):
+            return None
+        spectator = rest
+        pairs.append((state.count_of(p_mode), state.count_of(q_mode)))
+    odd = {(i + j) % 2 for i, j in pairs}
+    parity = Parity.MIXED if len(odd) > 1 else Parity.ODD if odd == {1} else Parity.EVEN
+    return len(pairs), tuple(pairs), parity
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_classify_matches_ket_by_ket(seed):
+    # [F, B, F, B] at s=3; supports drawn from kets that share their
+    # spectator counts (a form) or from anywhere (mostly no form)
+    space = l_space(2, 2, 3)
+    rng = np.random.default_rng(seed)
+    p_mode, q_mode = rng.choice(4, size=2, replace=seed % 4 == 0)
+    others = [m for m in range(4) if m not in (p_mode, q_mode)]
+    occ = space.occupations
+    pool = np.arange(space.dimension)
+    if seed % 2:
+        anchor = occ[rng.integers(space.dimension), others]
+        pool = np.flatnonzero((occ[:, others] == anchor).all(1))
+    support = rng.choice(pool, size=rng.integers(1, min(len(pool), 5) + 1), replace=False)
+    v = np.zeros(space.dimension, dtype=complex)
+    v[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    v[rng.integers(space.dimension)] += 1e-12
+    expected = reference_classify(space, v, p_mode, q_mode, 1e-9)
+    if expected is None:
+        with pytest.raises(NotAForm):
+            classify_form(space, v, p_mode, q_mode)
+    else:
+        cls = classify_form(space, v, p_mode, q_mode)
+        assert (cls.type_t, cls.form, cls.parity) == expected

@@ -1,5 +1,9 @@
+import itertools
+import json
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toyqft import (
@@ -70,7 +74,10 @@ def test_l222_basis_order_fermion_block_first():
 
 
 def test_empty_roster_vacuum_only():
-    assert build_space([], 1).dimension == 1
+    space = build_space([], 1)
+    assert space.dimension == 1
+    assert space.index_of(OccupationState()) == 0
+    assert space.state_at(0) == OccupationState()
 
 
 def test_fermion_dimension_formula():
@@ -218,3 +225,75 @@ def test_basis_json_dump():
     dump = space.basis_to_json()
     assert dump[0] == {"fermions": [], "bosons": []}
     assert len(dump) == space.dimension
+
+
+def reference_occupations(modes, s):
+    """Every admissible count row by brute force, sorted by
+    (total, encoding()): the documented basis order."""
+    fermion = [m.statistics is Statistics.FERMION for m in modes]
+    states = []
+    for counts in itertools.product(*[range(2 if f else s + 1) for f in fermion]):
+        if sum(counts) > s:
+            continue
+        occupied = [(m, c) for m, c in enumerate(counts) if c]
+        states.append(OccupationState(
+            tuple(m for m, _ in occupied if fermion[m]),
+            tuple((m, c) for m, c in occupied if not fermion[m]),
+        ))
+    states.sort(key=lambda st: (st.total, st.encoding()))
+    rows = [[st.count_of(m.id) for m in modes] for st in states]
+    return np.array(rows, dtype=np.int64).reshape(len(states), len(modes))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    roster=st.lists(
+        st.tuples(st.sampled_from("FB"), st.integers(0, 2)), max_size=6
+    ),
+    s=st.integers(1, 4),
+)
+@example(roster=[("F", 1), ("B", 0), ("F", 2), ("F", 1), ("B", 0)], s=3)
+@example(roster=[("F", 1), ("B", 0), ("F", 2), ("F", 1), ("B", 0)], s=5)
+def test_occupations_match_brute_force_order(roster, s):
+    stats = {"F": Statistics.FERMION, "B": Statistics.BOSON}
+    modes = [ParticleMode(i, f"m{i}", stats[t], m) for i, (t, m) in enumerate(roster)]
+    space = build_space(modes, s)
+    assert np.array_equal(space.occupations, reference_occupations(modes, s))
+    assert space.occupations.dtype == np.int64
+    assert np.array_equal(space.find_rows(space.occupations), np.arange(space.dimension))
+
+
+def test_find_rows_misses():
+    space = l_space(2, 2, 3)
+    rows = np.array([[2, 0, 0, 0], [0, 0, 4, 0], [0, 0, -1, 0], [1, 1, 1, 0]])
+    hit = space.index_of(OccupationState(fermions=(0, 1), bosons=((2, 1),)))
+    assert space.find_rows(rows).tolist() == [-1, -1, -1, hit]
+
+
+# l_space(2, 2, 3): fermion modes 0, 1 and boson modes 2, 3
+NOT_IN_BASIS = {
+    "fermion-id-names-boson": OccupationState(fermions=(2,)),
+    "boson-id-names-fermion": OccupationState(bosons=((0, 1),)),
+    "same-id-both-lists": OccupationState(fermions=(0,), bosons=((0, 1),)),
+    "fermion-id-past-roster": OccupationState(fermions=(4,)),
+    "boson-id-past-roster": OccupationState(bosons=((4, 1),)),
+    "fermion-id-negative": OccupationState(fermions=(-1,)),
+    "boson-id-negative": OccupationState(bosons=((-1, 1),)),
+    "boson-count-past-cutoff": OccupationState(bosons=((2, 4),)),
+    "total-past-cutoff": OccupationState(fermions=(0, 1), bosons=((2, 1), (3, 1))),
+    "boson-count-huge": OccupationState(bosons=((3, 10**30),)),
+}
+
+
+@pytest.mark.parametrize("state", NOT_IN_BASIS.values(), ids=NOT_IN_BASIS)
+def test_index_of_not_in_basis(state):
+    with pytest.raises(NotInBasis):
+        l_space(2, 2, 3).index_of(state)
+
+
+def test_states_hold_python_ints():
+    space = l_space(2, 2, 3)
+    for state in space.basis:
+        ints = state.fermions + tuple(x for pair in state.bosons for x in pair)
+        assert all(type(x) is int for x in ints)
+    assert json.loads(json.dumps(space.basis_to_json())) == space.basis_to_json()
