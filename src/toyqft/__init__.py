@@ -25,7 +25,14 @@ from .fields import (
     interaction_field,
     self_interaction,
 )
-from .spectral import SpectralDecomposition, eigh, projectors, reconstruct, unitary_exp
+from .spectral import (
+    SpectralDecomposition,
+    apply_unitary_exp,
+    eigh,
+    projectors,
+    reconstruct,
+    unitary_exp,
+)
 from .spacetime import (
     EnergyMomentum,
     LatticePoint,

@@ -8,6 +8,7 @@ Exit codes: 0 success / all identities pass, 1 verification failure,
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -25,17 +26,22 @@ from .fock import (
     build_space,
     fermion_family,
 )
-from .ladder import annihilator, anticommutator, commutator, creator
-from .scatter import (
-    build_roster,
-    hamiltonian,
-    probability_table,
-    scattering_operator,
+from .ladder import (
+    annihilator,
+    anticommutator,
+    commutator,
+    creator,
+    identity,
+    number_operator,
 )
+from .scatter import build_roster, hamiltonian, probability_table
 from .spacetime import hyperboloid, space_volume
-from .spectral import eigh
+from .spectral import apply_unitary_exp, eigh
 
 SEED_ENV = "TOYQFT_SEED"
+# Largest |g|·‖H‖₁ that scatter accepts: exp(igH)|in> costs about that
+# many products with H.
+COUPLING_BOUND = 1e4
 
 
 def _sig12(value):
@@ -240,7 +246,7 @@ _ROWS = {
 def _algebra_checks(space, rng):
     """{identity name: max violation} over the roster's algebra, in
     report order."""
-    eye = np.eye(space.dimension)
+    eye = identity(space)
     modes = space.modes
     ann = {m.id: annihilator(space, m.id) for m in modes}
     cre = {m.id: creator(space, m.id) for m in modes}
@@ -251,14 +257,16 @@ def _algebra_checks(space, rng):
     rows += [row for st, names in _ROWS.items() if st in present for row in names]
     worst = dict.fromkeys(rows, 0.0)
 
-    def note(row, violation):
-        worst[row] = max(worst[row], np.max(np.abs(violation)))
+    def note(row, violation, cols=None):
+        """Largest |entry| of an operator, in the columns cols marks."""
+        data = violation.data if cols is None else violation.data[cols[violation.cols]]
+        worst[row] = max(worst[row], np.abs(data).max(initial=0.0))
 
     for m in modes:
-        note(rows[0], cre[m.id].mat - ann[m.id].adjoint().mat)
+        note(rows[0], cre[m.id] - ann[m.id].adjoint())
         alpha = complex(rng.normal(), rng.normal())
         eta = alpha * ann[m.id] + np.conj(alpha) * cre[m.id]
-        note(rows[1], eta.mat - eta.mat.conj().T)
+        note(rows[1], eta - eta.adjoint())
 
     # Same-family fermions anticommute and every other same-statistics
     # pair commutes; the boundary rule reuses the i = j bracket [a_i, a_i*].
@@ -270,13 +278,13 @@ def _algebra_checks(space, rng):
             exchange, number, *boundary = _ROWS[mi.statistics]
             anti = not boson and fermion_family(mi) == fermion_family(mj)
             bracket = anticommutator if anti else commutator
-            note(exchange, bracket(ann[i], ann[j]).mat)
+            note(exchange, bracket(ann[i], ann[j]))
             if boson:
-                note(exchange, bracket(cre[i], cre[j]).mat)
-            mixed = bracket(ann[i], cre[j]).mat
-            note(number, (mixed - (eye if i == j else 0.0))[:, off])
+                note(exchange, bracket(cre[i], cre[j]))
+            mixed = bracket(ann[i], cre[j])
+            note(number, mixed - eye if i == j else mixed, off)
             if boson and i == j:
-                note(boundary[0], (mixed + np.diag(occ[:, i]))[:, ~off])
+                note(boundary[0], mixed + number_operator(space, i), ~off)
     return worst
 
 
@@ -347,11 +355,19 @@ def _run_scatter(scenario, fmt, enforce, coupling):
     in_state = _parse_state(space, _require(scenario, "in_state"), "in_state")
     try:
         h = hamiltonian(space, x0, r, mass1, mass2)
-        s_op = scattering_operator(h, coupling=coupling)
     except ToyQFTError as exc:
         raise ScenarioError("scatter", str(exc)) from exc
+    scale = abs(coupling) * h.one_norm()
+    if scale > COUPLING_BOUND:
+        raise ScenarioError("coupling", f"|g|·‖H‖₁ = {_sig12(scale)} exceeds 1e4")
+    e_in = np.zeros(space.dimension, dtype=complex)
+    e_in[space.index_of(in_state)] = 1
     rows = probability_table(
-        s_op, in_state, threshold, enforce_conservation=enforce
+        space,
+        apply_unitary_exp(h, e_in, coupling),
+        in_state,
+        threshold,
+        enforce_conservation=enforce,
     )
     report = {
         "kind": "scatter",
@@ -399,6 +415,7 @@ def _run_lattice(scenario, fmt, args):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="toyqft",

@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DuplicateTerm, NotAForm
-from .ladder import ac_operator, anticommutator, zero
+from .ladder import ac_operator, anticommutator, operator_sum
 
 
 class Parity(Enum):
@@ -40,10 +40,9 @@ def free_field(space, spec):
         if mode_id in seen:
             raise DuplicateTerm(f"mode {mode_id} listed twice")
         seen.add(mode_id)
-    op = zero(space)
-    for mode_id, alpha in spec:
-        op = op + ac_operator(space, mode_id, alpha)
-    return op
+    return operator_sum(
+        space, [ac_operator(space, mode_id, alpha) for mode_id, alpha in spec]
+    )
 
 
 def interaction_field(phi, psi):

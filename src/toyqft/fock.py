@@ -126,7 +126,7 @@ class FockSpace:
     @property
     def basis(self):
         """Every ket as an OccupationState, in basis order."""
-        return tuple(self.state_at(n) for n in range(self.dimension))
+        return tuple(self.states_at(np.arange(self.dimension)))
 
     def mode(self, mode_id):
         if 0 <= mode_id < len(self.modes):
@@ -156,11 +156,25 @@ class FockSpace:
     def state_at(self, ordinal):
         if not 0 <= ordinal < self.dimension:
             raise NotInBasis(f"ordinal {ordinal} out of range")
-        counts = enumerate(self.occupations[ordinal].tolist())
-        occupied = [(i, c) for i, c in counts if c]
-        fermions = tuple(i for i, _ in occupied if self.is_fermion(i))
-        bosons = tuple(b for b in occupied if b[0] not in fermions)
-        return OccupationState(fermions, bosons)
+        return self.states_at([ordinal])[0]
+
+    def states_at(self, ordinals):
+        """OccupationState of each ket in an ordinal array, in its order."""
+        rows = self.occupations[ordinals]
+        kets, ids = np.nonzero(rows)  # ket-major, mode ids ascending
+        counts = rows[kets, ids].tolist()
+        ends = np.cumsum(np.bincount(kets, minlength=len(rows))).tolist()
+        fermion = [m.statistics is Statistics.FERMION for m in self.modes]
+        ids = ids.tolist()
+        states, start = [], 0
+        for end in ends:
+            occupied = list(zip(ids[start:end], counts[start:end]))
+            states.append(OccupationState(
+                tuple(i for i, _ in occupied if fermion[i]),
+                tuple(b for b in occupied if not fermion[b[0]]),
+            ))
+            start = end
+        return states
 
     def basis_to_json(self):
         """Ordered basis dump: fermion ids and boson counts per ket."""

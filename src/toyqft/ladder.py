@@ -1,6 +1,7 @@
 """Annihilation/creation operator matrices and AC-operator algebra.
 
-Everything is a dense complex matrix on a FockSpace.
+Every operator is a complex matrix on a FockSpace, stored as its nonzero
+entries; `mat` is the dense view.
 
 a and a* are one construction: shift one column of the space's
 occupation array by -1 or +1 and look each shifted row up among the
@@ -11,70 +12,135 @@ canonical order.  Fermions of distinct families commute, matching the
 symmetric interchange of distinguishable particles in mixed spaces.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SpaceMismatch
 from .fock import Statistics, fermion_family
 
 
-@dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex square matrix tagged with the space it acts on."""
+    """Complex square matrix tagged with the space it acts on.
 
-    space: object
-    mat: np.ndarray
+    Stored as its nonzero entries: rows, cols and data, sorted by
+    (row, col), each position at most once and no stored zero.
+    `OperatorMatrix(space, dense)` takes the nonzeros of a dense array.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("space", "rows", "cols", "data")
+
+    def __init__(self, space, dense):
+        dense = np.asarray(dense, dtype=complex)
+        n = space.dimension
+        if dense.shape != (n, n):
+            raise ValueError(f"matrix shape {dense.shape} does not match dim {n}")
+        rows, cols = np.nonzero(dense)
+        self.space, self.rows, self.cols, self.data = space, rows, cols, dense[rows, cols]
+
+    @classmethod
+    def _sorted(cls, space, rows, cols, data):
+        """Operator of entries already in (row, col) order, each position
+        once; zero entries are dropped."""
+        if not data.all():
+            keep = data != 0
+            rows, cols, data = rows[keep], cols[keep], data[keep]
+        op = cls.__new__(cls)
+        op.space, op.rows, op.cols, op.data = space, rows, cols, data
+        return op
+
+    @classmethod
+    def _summed(cls, space, *parts):
+        """Operator of the (rows, cols, data) entries of every part, in any
+        order: repeated positions are summed in the order given, then
+        zeros are dropped."""
+        rows, cols, data = map(np.concatenate, zip(*parts))
+        n = space.dimension
+        keys = rows * n + cols
+        order = keys.argsort(kind="stable")
+        keys, data = keys[order], data[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        if not first.all():
+            starts = first.nonzero()[0]
+            data = np.add.reduceat(data, starts)
+            keys = keys[starts]
+        rows, cols = np.divmod(keys, n)
+        return cls._sorted(space, rows, cols, data)
+
+    @property
+    def mat(self):
+        """Dense complex array of the operator."""
         n = self.space.dimension
-        if self.mat.shape != (n, n):
-            raise ValueError(
-                f"matrix shape {self.mat.shape} does not match dim {n}"
-            )
-
-    def _check(self, other):
-        if other.space is not self.space:
-            raise SpaceMismatch("operators act on different spaces")
+        dense = np.zeros((n, n), dtype=complex)
+        dense[self.rows, self.cols] = self.data
+        return dense
 
     def __add__(self, other):
-        self._check(other)
-        return OperatorMatrix(self.space, self.mat + other.mat)
+        return operator_sum(self.space, [self, other])
 
     def __sub__(self, other):
-        self._check(other)
-        return OperatorMatrix(self.space, self.mat - other.mat)
+        return self + -other
+
+    def _product_terms(self, other):
+        """(rows, cols, data) of every term A_ik B_kj of self @ other, by
+        row join: each entry (i, k) of self meets every entry (k, j) of
+        other.  Terms of one (i, j) come in ascending k."""
+        if other.space is not self.space:
+            raise SpaceMismatch("operators act on different spaces")
+        ptr = other.rows.searchsorted(np.arange(self.space.dimension + 1))
+        start = ptr[self.cols]
+        count = ptr[self.cols + 1] - start
+        # index into other's entries of each product term
+        pick = np.arange(count.sum()) + (start - (count.cumsum() - count)).repeat(count)
+        return (
+            self.rows.repeat(count),
+            other.cols[pick],
+            self.data.repeat(count) * other.data[pick],
+        )
 
     def __matmul__(self, other):
-        self._check(other)
-        return OperatorMatrix(self.space, self.mat @ other.mat)
+        return self._summed(self.space, self._product_terms(other))
 
     def __mul__(self, scalar):
-        return OperatorMatrix(self.space, scalar * self.mat)
+        return self._sorted(self.space, self.rows, self.cols, scalar * self.data)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return OperatorMatrix(self.space, -self.mat)
+        return self._sorted(self.space, self.rows, self.cols, -self.data)
 
     def adjoint(self):
-        return OperatorMatrix(self.space, self.mat.conj().T)
+        order = np.argsort(self.cols * self.space.dimension + self.rows)
+        return self._sorted(
+            self.space, self.cols[order], self.rows[order], self.data[order].conj()
+        )
 
-    def to_json(self):
-        """Row-major dense entries as [re, im] pairs."""
-        return [
-            [[z.real, z.imag] for z in row] for row in self.mat.tolist()
-        ]
+    def matvec(self, vector):
+        """The operator applied to a vector of length dim."""
+        terms = self.data * vector[self.cols]
+        n = self.space.dimension
+        out = np.empty(n, dtype=complex)
+        out.real = np.bincount(self.rows, terms.real, n)
+        out.imag = np.bincount(self.rows, terms.imag, n)
+        return out
+
+    def one_norm(self):
+        """Largest column sum of |entries|; bounds the spectral radius of
+        a Hermitian operator."""
+        sums = np.bincount(self.cols, np.abs(self.data), self.space.dimension)
+        return float(sums.max(initial=0.0))
 
 
 def identity(space):
-    return OperatorMatrix(space, np.eye(space.dimension, dtype=complex))
+    diagonal = np.arange(space.dimension)
+    return OperatorMatrix._sorted(
+        space, diagonal, diagonal, np.ones(space.dimension, dtype=complex)
+    )
 
 
 def zero(space):
-    return OperatorMatrix(
-        space, np.zeros((space.dimension, space.dimension), dtype=complex)
-    )
+    empty = np.zeros(0, dtype=np.intp)
+    return OperatorMatrix._sorted(space, empty, empty, np.zeros(0, dtype=complex))
 
 
 def _ladder(space, mode_id, step):
@@ -101,9 +167,11 @@ def _ladder(space, mode_id, step):
             and fermion_family(m) == family
         ]
         values = np.where(occ[cols][:, ahead].sum(1) % 2, -values, values)
-    mat = np.zeros((space.dimension, space.dimension), dtype=complex)
-    mat[rows[cols], cols] = values
-    return OperatorMatrix(space, mat)
+    rows = rows[cols]
+    order = np.argsort(rows)  # distinct columns land on distinct rows
+    return OperatorMatrix._sorted(
+        space, rows[order], cols[order], values[order].astype(complex)
+    )
 
 
 def annihilator(space, mode_id):
@@ -126,25 +194,41 @@ def creator(space, mode_id):
 
 
 def commutator(a, b):
-    """[A, B] = AB - BA."""
-    return a @ b - b @ a
+    """[A, B] = AB - BA, summed entry by entry in one pass."""
+    rows, cols, data = b._product_terms(a)
+    return OperatorMatrix._summed(a.space, a._product_terms(b), (rows, cols, -data))
 
 
 def anticommutator(a, b):
-    """{A, B} = AB + BA."""
-    return a @ b + b @ a
+    """{A, B} = AB + BA, summed entry by entry in one pass."""
+    return OperatorMatrix._summed(a.space, a._product_terms(b), b._product_terms(a))
+
+
+def operator_sum(space, ops):
+    """Sum of a list of operators on one space, summed entry by entry in
+    one pass; the zero operator for an empty list."""
+    if not ops:
+        return zero(space)
+    for op in ops:
+        if op.space is not space:
+            raise SpaceMismatch("operators act on different spaces")
+    return OperatorMatrix._summed(space, *((op.rows, op.cols, op.data) for op in ops))
 
 
 def ac_operator(space, mode_id, alpha):
     """Hermitian combination alpha*a + conj(alpha)*a* for one mode, built
-    as op + op* from op = alpha*a (a* is exactly the adjoint of a)."""
-    op = complex(alpha) * annihilator(space, mode_id)
-    return op + op.adjoint()
+    as op + op* from the entries of op = alpha*a (a* is exactly the
+    adjoint of a)."""
+    a = annihilator(space, mode_id)
+    data = complex(alpha) * a.data
+    return OperatorMatrix._summed(
+        space, (a.rows, a.cols, data), (a.cols, a.rows, data.conj())
+    )
 
 
 def number_operator(space, mode_id):
     """Diagonal occupation-number matrix for one mode."""
     space.mode(mode_id)
-    return OperatorMatrix(
-        space, np.diag(space.occupations[:, mode_id]).astype(complex)
-    )
+    counts = space.occupations[:, mode_id]
+    diagonal = np.arange(space.dimension)
+    return OperatorMatrix._sorted(space, diagonal, diagonal, counts.astype(complex))

@@ -75,21 +75,24 @@ def hamiltonian(space, x0, r, m1, m2):
     Field coefficients are phase(p, x) / p0 and a(p) lowers a ket's total
     4-momentum P by p, so tau(x) = D(x) tau(0) D(x)* exactly, with
     D(x) = diag(i^(-P_n.x)).  The average is tau(0) times M entry by
-    entry, M_mn = avg_x i^((P_n - P_m).x) = (d d*)_mn / |slice| where
-    column k of d is the diagonal of D(x_k).  Modes the fields do not
-    move cancel in P_n - P_m wherever tau(0) is nonzero.
+    entry, M_mn = avg_x i^((P_n - P_m).x) = avg_k d_k[m] conj(d_k[n])
+    where d_k is the diagonal of D(x_k), needed only where tau(0) is
+    nonzero.  Modes the fields do not move cancel in P_n - P_m there.
     """
     points = space_slice(x0)
     tau = hamiltonian_density(space, LatticePoint(0), r, m1, m2)
     momenta, _ = _momentum_table(space)
-    # row k of g is slice point k as (x0, -x), so P @ g.T holds P.x
+    # row k of g is slice point k as (x0, -x), so g @ P.T holds P.x
     g = np.array([x.as_tuple() for x in points]) * (1, -1, -1, -1)
-    d = np.array(_QUARTER_TURNS)[(momenta @ g.T) % 4].conj()
-    return OperatorMatrix(space, tau.mat * (d @ d.conj().T / len(points)))
+    d = np.array(_QUARTER_TURNS)[(g @ momenta.T) % 4].conj()
+    # one slice point at a time: a gather per point, not an nnz x |slice| table
+    mask = sum(dk[tau.rows] * dk[tau.cols].conj() for dk in d) / len(points)
+    return OperatorMatrix._sorted(space, tau.rows, tau.cols, tau.data * mask)
 
 
 def scattering_operator(h, coupling=1.0):
-    """Unitary exp(i g H) via the spectral representation.
+    """Unitary exp(i g H) via the spectral representation, as a full
+    matrix.  `apply_unitary_exp` gives one column S|in> far more cheaply.
 
     The dimensionless coupling g (default 1) is an extension knob; the
     bare construction is exp(iH).
@@ -125,25 +128,29 @@ class ProbabilityRow:
     conserves_momentum: bool | None
 
 
-def probability_table(s, in_state, threshold=0.0, enforce_conservation=False):
+def probability_table(space, amplitudes, in_state, threshold=0.0,
+                      enforce_conservation=False):
     """All out-states with probability above threshold, descending.
 
-    Each row flags whether the out-state's total 4-momentum equals the
-    in-state's; with enforce_conservation the non-conserving rows are
-    dropped.  The flag is None when momenta are not labeled.
+    amplitudes is the column S|in> over the space's basis.  Each row
+    flags whether the out-state's total 4-momentum equals the in-state's;
+    with enforce_conservation the non-conserving rows are dropped.  The
+    flag is None when momenta are not labeled.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    space = s.space
     momenta, labeled = _momentum_table(space)
     n_in = space.index_of(in_state)
-    col = s.mat[:, n_in]
+    col = np.asarray(amplitudes)
     # np.hypot matches the scalar abs() bit for bit; the array np.abs does not
     prob = np.hypot(col.real, col.imag) ** 2
     flagged = labeled & labeled[n_in]
     conserves = (momenta == momenta[n_in]).all(1)
     keep = (prob > threshold) & (conserves | ~flagged | (not enforce_conservation))
     kept = np.flatnonzero(keep)
-    kept = kept[np.argsort(-prob[kept], kind="stable")].tolist()
+    kept = kept[np.argsort(-prob[kept], kind="stable")]
     flags = np.where(flagged, conserves, None)
-    return [ProbabilityRow(space.state_at(n), float(prob[n]), flags[n]) for n in kept]
+    return [
+        ProbabilityRow(state, float(prob[n]), flags[n])
+        for n, state in zip(kept.tolist(), space.states_at(kept))
+    ]

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toyqft import cli
+from toyqft import build_roster, build_space, cli, hamiltonian, ket, scattering_operator
 from toyqft.cli import emit_report, main
 from toyqft.ladder import OperatorMatrix
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -478,3 +483,77 @@ def test_emit_report_empty_csv():
 def test_emit_report_json_round_trips():
     report = {"columns": ["a"], "rows": [["x", 1.5]]}
     assert json.loads(emit_report(report, "json")) == report
+
+
+def _r1_norm():
+    """||H||_1 of SCATTER_R1's Hamiltonian."""
+    space = build_space(build_roster(1, 1, 1), 2)
+    return hamiltonian(space, 0, 1, 1, 1).one_norm()
+
+
+@pytest.mark.parametrize("over", ["1e308", "-1e308", "just-over"])
+def test_scatter_rejects_coupling_over_bound(tmp_path, capsys, monkeypatch, over):
+    def unreachable(*args):
+        raise AssertionError("exp action started before the coupling was checked")
+
+    monkeypatch.setattr(cli, "apply_unitary_exp", unreachable)
+    coupling = repr(cli.COUPLING_BOUND / _r1_norm() * (1 + 1e-9)) if over == "just-over" else over
+    path = write_scenario(tmp_path, SCATTER_R1)
+    code, out, err = run(capsys, ["scatter", "--scenario", path, f"--coupling={coupling}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("scenario error: coupling: |g|·‖H‖₁ = ")
+    assert err.endswith(" exceeds 1e4\n") and err.count("\n") == 1
+
+
+def test_scatter_coupling_just_under_bound_runs(tmp_path, capsys):
+    coupling = repr(cli.COUPLING_BOUND / _r1_norm() * (1 - 1e-9))
+    path = write_scenario(tmp_path, SCATTER_R1)
+    code, out, _ = run(capsys, ["scatter", "--scenario", path, f"--coupling={coupling}"])
+    assert code == 0
+    assert sum(row[1] for row in json.loads(out)["rows"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_scatter_strong_coupling_matches_dense_column(tmp_path, capsys):
+    scenario = dict(SCATTER_R1, r=2, cutoff_s=2, x0=1, in_state={"modes": [[0, 1], [9, 1]]})
+    path = write_scenario(tmp_path, scenario)
+    code, out, _ = run(capsys, ["scatter", "--scenario", path, "--coupling", "30"])
+    assert code == 0
+    space = build_space(build_roster(1, 1, 2), 2)
+    s = scattering_operator(hamiltonian(space, 1, 2, 1, 1), coupling=30.0)
+    expected = np.abs(s.mat[:, ket(space, 0, 9)]) ** 2
+    labels = {
+        cli._state_label(space, state): n for n, state in enumerate(space.basis)
+    }
+    got = np.zeros(space.dimension)
+    for label, p, _ in json.loads(out)["rows"]:
+        got[labels[label]] = p
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_main_twice_in_one_process_matches_separate_runs(tmp_path):
+    runs = [
+        ["dims", "--scenario", write_scenario(tmp_path, FERMION_ROSTER_K3, "k3.json")],
+        ["scatter", "--scenario", write_scenario(tmp_path, SCATTER_R1, "r1.json"), "--format", "csv"],
+    ]
+    separate = [
+        subprocess.run(
+            [sys.executable, "-m", "toyqft.cli", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        for argv in runs
+    ]
+    for argv, alone in zip(runs, separate):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert (code, out.getvalue()) == (alone.returncode, alone.stdout)
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_import_leaves_scipy_out():
+    check = "import sys, toyqft.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", check],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert result.stdout == "False\n"

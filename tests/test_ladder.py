@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toyqft import (
     OccupationState,
@@ -16,7 +18,7 @@ from toyqft import (
     ket,
 )
 from toyqft.errors import NotInBasis, SpaceMismatch, UnknownMode
-from toyqft.ladder import identity, number_operator
+from toyqft.ladder import OperatorMatrix, identity, number_operator
 
 from conftest import (
     boson_modes,
@@ -254,8 +256,62 @@ def test_number_operator_diagonal():
         assert n0.mat[idx, idx] == state.count_of(0)
 
 
-def test_operator_json_round_trip():
-    space = k_space(2)
-    entries = ac_operator(space, 0, 1 + 2j).to_json()
-    rebuilt = np.array([[complex(re, im) for re, im in row] for row in entries])
-    assert np.array_equal(rebuilt, ac_operator(space, 0, 1 + 2j).mat)
+
+# Dyadic entries keep every sum and product exact, so sparse and dense
+# arithmetic agree whatever order they add in.
+DYADIC = st.integers(-8, 8).map(lambda k: k / 4)
+PROPERTY_SPACE = l_space(2, 2, 2)  # dim 13
+
+
+@st.composite
+def sparse_dense(draw):
+    """A dense matrix on PROPERTY_SPACE with at most 40 nonzeros."""
+    n = PROPERTY_SPACE.dimension
+    index = st.integers(0, n - 1)
+    entries = draw(st.dictionaries(
+        st.tuples(index, index), st.builds(complex, DYADIC, DYADIC), max_size=40
+    ))
+    dense = np.zeros((n, n), dtype=complex)
+    for position, value in entries.items():
+        dense[position] = value
+    return dense
+
+
+def assert_canonical(op, dense):
+    """op holds exactly dense's nonzeros, sorted by (row, col)."""
+    n = op.space.dimension
+    keys = op.rows * n + op.cols
+    assert (np.diff(keys) > 0).all()
+    assert (op.data != 0).all()
+    assert np.array_equal(op.mat, dense)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    sparse_dense(),
+    sparse_dense(),
+    st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+)
+def test_sparse_arithmetic_matches_dense(x, y, scalar):
+    a, b = OperatorMatrix(PROPERTY_SPACE, x), OperatorMatrix(PROPERTY_SPACE, y)
+    assert_canonical(a, x)
+    assert_canonical(a + b, x + y)
+    assert_canonical(a - b, x - y)
+    assert_canonical(a - a, 0 * x)
+    assert_canonical(a @ b, x @ y)
+    assert_canonical(commutator(a, b), x @ y - y @ x)
+    assert_canonical(anticommutator(a, b), x @ y + y @ x)
+    assert_canonical(scalar * a, scalar * x)
+    assert_canonical(a * 0, 0 * x)
+    assert_canonical(-a, -x)
+    assert_canonical(a.adjoint(), x.conj().T)
+    v = (x + y)[0]
+    assert np.max(np.abs(a.matvec(v) - x @ v), initial=0.0) <= 1e-15
+    assert a.one_norm() == pytest.approx(np.abs(x).sum(0).max(), rel=1e-15, abs=0)
+
+
+def test_ladder_entries_are_canonical():
+    space = l_space(2, 2, 3)
+    for mode in range(4):
+        for op in (annihilator(space, mode), creator(space, mode), number_operator(space, mode)):
+            assert_canonical(op, op.mat)

@@ -13,14 +13,16 @@ from toyqft import (
     hamiltonian,
     hamiltonian_density,
     hyperboloid,
+    ket,
     probability,
     probability_table,
     scattering_operator,
 )
 from toyqft.errors import EmptyRoster, NotInBasis
 from toyqft.ladder import OperatorMatrix
-from toyqft.scatter import total_momentum
-from toyqft.spacetime import space_slice
+from toyqft.scatter import _momentum_table, total_momentum
+from toyqft.spacetime import phase, space_slice
+from toyqft.spectral import apply_unitary_exp
 
 MAXABS = np.abs
 
@@ -28,6 +30,11 @@ MAXABS = np.abs
 def boson_space(m1=1, m2=1, r=1, s=2):
     roster = build_roster(m1, m2, r)
     return build_space(roster, s)
+
+
+def column(s, in_state):
+    """S|in>: the in-state's column of a full scattering matrix."""
+    return s.mat[:, s.space.index_of(in_state)]
 
 
 def two_particle_in(space):
@@ -140,6 +147,12 @@ def test_hamiltonian_averages_slice_densities(stats, masses, r, x0, extra_mode):
     points = space_slice(x0)
     mean = sum(hamiltonian_density(space, x, r, m1, m2).mat for x in points)
     assert np.max(np.abs(h.mat - mean / len(points))) <= 1e-14
+    # The dense formula: tau(0) times d d* / |slice| entry by entry, with
+    # d[n, k] = i^(-P_n.x_k) and P_n ket n's labeled 4-momentum.
+    tau = hamiltonian_density(space, LatticePoint(0), r, m1, m2)
+    momenta, _ = _momentum_table(space)
+    d = np.array([[phase(p, x) for x in points] for p in momenta.tolist()]).conj()
+    assert np.array_equal(h.mat, tau.mat * (d @ d.conj().T / len(points)))
 
 
 def test_hamiltonian_rejects_empty_mass_block():
@@ -216,7 +229,7 @@ def test_probability_table_identity():
     space = boson_space()
     s = OperatorMatrix(space, np.eye(space.dimension, dtype=complex))
     state_in = two_particle_in(space)
-    rows = probability_table(s, state_in)
+    rows = probability_table(space, column(s, state_in), state_in)
     assert len(rows) == 1
     assert rows[0].out_state == state_in
     assert rows[0].probability == pytest.approx(1.0)
@@ -227,7 +240,7 @@ def test_probability_table_sorted_and_bounded():
     space = boson_space(r=2, s=2)
     s = scattering_operator(hamiltonian(space, 0, 2, 1, 1))
     state_in = two_particle_in(space)
-    rows = probability_table(s, state_in, threshold=1e-12)
+    rows = probability_table(space, column(s, state_in), state_in, threshold=1e-12)
     probs = [r.probability for r in rows]
     assert probs == sorted(probs, reverse=True)
     assert sum(probs) <= 1 + 1e-9
@@ -237,7 +250,9 @@ def test_probability_table_conservation_filter():
     space = boson_space(r=2, s=2)
     s = scattering_operator(hamiltonian(space, 0, 2, 1, 1))
     state_in = two_particle_in(space)
-    kept = probability_table(s, state_in, enforce_conservation=True)
+    kept = probability_table(
+        space, column(s, state_in), state_in, enforce_conservation=True
+    )
     p_in = total_momentum(space, state_in)
     for row in kept:
         assert total_momentum(space, row.out_state) == p_in
@@ -282,7 +297,9 @@ def test_probability_table_matches_ket_by_ket(in_modes, threshold, enforce, unit
         s = scattering_operator(hamiltonian(space, 1, 2, 1, 2))
     fermions = tuple(m for m, _ in in_modes if m < 9)
     in_state = OccupationState(fermions, tuple(p for p in in_modes if p[0] >= 9))
-    rows = probability_table(s, in_state, threshold, enforce_conservation=enforce)
+    rows = probability_table(
+        space, column(s, in_state), in_state, threshold, enforce_conservation=enforce
+    )
     got = [(space.index_of(r.out_state), r.conserves_momentum) for r in rows]
     expected = reference_table(s, in_state, threshold, enforce)
     assert got == [(n, flag) for n, _, flag in expected]
@@ -304,3 +321,37 @@ def test_amplitude_not_in_basis():
     s = OperatorMatrix(space, np.eye(space.dimension, dtype=complex))
     with pytest.raises(NotInBasis):
         amplitude(s, OccupationState(bosons=((0, 5),)), OccupationState())
+
+
+# (m1, m2, r, s, x0, statistics) of every scatter class in the benchmark's
+# mix_small workload (benchmarks/workloads.py), dims 6 to 190.
+MIX_SMALL_SCATTERS = [
+    (1, 1, 1, 2, 0, "BB"),
+    (1, 1, 1, 3, 1, "BB"),
+    (1, 1, 1, 2, 2, "BB"),
+    (1, 2, 2, 2, 1, "BB"),
+    (1, 2, 2, 2, 1, "FB"),
+    (2, 1, 2, 2, 2, "BF"),
+    (1, 2, 2, 3, 0, "FB"),
+    (1, 1, 2, 2, 0, "BB"),
+    (1, 1, 2, 2, 1, "BB"),
+    (1, 1, 2, 2, 2, "BB"),
+]
+
+
+@pytest.mark.parametrize("coupling", [1.0, -0.5, 30.0])
+@pytest.mark.parametrize(
+    "m1, m2, r, s, x0, stats",
+    MIX_SMALL_SCATTERS,
+    ids=[f"{st}-m{m1}{m2}-r{r}-s{s}-x{x0}" for m1, m2, r, s, x0, st in MIX_SMALL_SCATTERS],
+)
+def test_exp_action_matches_dense_column(m1, m2, r, s, x0, stats, coupling):
+    space = build_space(build_roster(m1, m2, r, *STATS[stats]), s)
+    h = hamiltonian(space, x0, r, m1, m2)
+    n_in = ket(space, 0, len(hyperboloid(m1, r)))  # one particle per block
+    e_in = np.zeros(space.dimension, dtype=complex)
+    e_in[n_in] = 1
+    column = apply_unitary_exp(h, e_in, coupling)
+    expected = scattering_operator(h, coupling).mat[:, n_in]
+    assert np.max(np.abs(column - expected)) <= 1e-12
+    assert abs(np.linalg.norm(column) - 1) <= 1e-12

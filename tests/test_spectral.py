@@ -3,6 +3,7 @@ import pytest
 
 from toyqft import eigh, free_field, projectors, reconstruct, unitary_exp
 from toyqft.errors import NotHermitian
+from toyqft.spectral import apply_unitary_exp
 
 from conftest import generic_coeffs, k_space
 
@@ -157,3 +158,21 @@ def test_decomposition_json():
         {"lambda": 2.0, "multiplicity": 2},
         {"lambda": 4.0, "multiplicity": 1},
     ]
+
+
+def test_exp_action_of_zero_is_identity():
+    space = k_space(3)
+    h = free_field(space, [(0, 0.7 - 0.2j), (2, 1.1)])
+    e_in = np.zeros(space.dimension, dtype=complex)
+    e_in[3] = 1
+    assert np.array_equal(apply_unitary_exp(h, e_in, coupling=0.0), e_in)
+    assert np.array_equal(apply_unitary_exp(free_field(space, []), e_in, coupling=2.5), e_in)
+
+
+@pytest.mark.parametrize("coupling", [1e-20, 1e-3, 0.7, -2.0, 40.0])
+def test_exp_action_matches_spectral_exp(rng, coupling):
+    space = k_space(4)
+    h = free_field(space, list(enumerate(generic_coeffs(rng, 4))))
+    v = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+    expected = unitary_exp(eigh(coupling * h)) @ v
+    assert np.max(np.abs(apply_unitary_exp(h, v, coupling) - expected)) <= 1e-12
