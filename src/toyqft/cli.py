@@ -39,9 +39,13 @@ from .spacetime import hyperboloid, space_volume
 from .spectral import apply_unitary_exp, eigh
 
 SEED_ENV = "TOYQFT_SEED"
-# Largest |g|·‖H‖₁ that scatter accepts: exp(igH)|in> costs about that
-# many products with H.
+# Largest |g|·‖H‖₁ that scatter accepts.  exp(igH)|in> costs about |g|ρ
+# products with H on the in-state's kets, ρ ≤ ‖H‖₁ the bound the series
+# scales by, so |g|·‖H‖₁ is a conservative ceiling on that cost.
 COUPLING_BOUND = 1e4
+# Options that take a float: argparse reads a separate "-inf", "-nan" or
+# "-1e5" after them as an option, so main joins it on, as in "--tol=-inf".
+_FLOAT_OPTIONS = ("--tol", "--coupling")
 
 
 def _sig12(value):
@@ -221,8 +225,9 @@ def _run_dims(scenario, fmt):
         "rows": [["dimension", space.dimension]],
     }
     if scenario.get("dump_basis"):
-        report["basis"] = space.basis_to_json()
-        for i, state in enumerate(space.basis):
+        basis = space.basis
+        report["basis"] = [state.to_json() for state in basis]
+        for i, state in enumerate(basis):
             report["rows"].append([f"basis[{i}]", _state_label(space, state)])
     print(emit_report(report, fmt), end="")
     return 0
@@ -460,8 +465,22 @@ def _build_parser():
     return parser
 
 
+def _joined_float_values(argv):
+    """argv with a "-..." (not "--...") token after a _FLOAT_OPTIONS
+    flag joined on as that flag's value."""
+    joined = []
+    for token in argv:
+        dash = token.startswith("-") and not token.startswith("--")
+        if dash and joined and joined[-1] in _FLOAT_OPTIONS:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_joined_float_values(argv))
     try:
         if args.command == "lattice":
             scenario = (

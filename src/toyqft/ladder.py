@@ -115,15 +115,6 @@ class OperatorMatrix:
             self.space, self.cols[order], self.rows[order], self.data[order].conj()
         )
 
-    def matvec(self, vector):
-        """The operator applied to a vector of length dim."""
-        terms = self.data * vector[self.cols]
-        n = self.space.dimension
-        out = np.empty(n, dtype=complex)
-        out.real = np.bincount(self.rows, terms.real, n)
-        out.imag = np.bincount(self.rows, terms.imag, n)
-        return out
-
     def one_norm(self):
         """Largest column sum of |entries|; bounds the spectral radius of
         a Hermitian operator."""

@@ -316,6 +316,36 @@ def test_verify_rejects_non_finite_tol(tmp_path, capsys, tol):
     assert err.startswith("scenario error: tol:")
 
 
+@pytest.mark.parametrize("joined", [True, False], ids=["joined", "separate"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan"])
+@pytest.mark.parametrize(
+    "command, scenario, flag",
+    [
+        ("verify", FERMION_ROSTER_K3, "--tol"),
+        ("spectrum", SPECTRUM_K3, "--tol"),
+        ("scatter", SCATTER_R1, "--coupling"),
+    ],
+    ids=["verify", "spectrum", "scatter"],
+)
+def test_non_finite_option_value_in_either_spelling(
+    tmp_path, capsys, command, scenario, flag, value, joined
+):
+    """"--tol=-inf" and "--tol -inf" both reach the finite check."""
+    path = write_scenario(tmp_path, scenario)
+    value_args = [f"{flag}={value}"] if joined else [flag, value]
+    code, out, err = run(capsys, [command, "--scenario", path, *value_args])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"scenario error: {flag[2:]}: ") and err.count("\n") == 1
+
+
+def test_negative_option_value_as_separate_argument(tmp_path, capsys):
+    path = write_scenario(tmp_path, SCATTER_R1)
+    joined = run(capsys, ["scatter", "--scenario", path, "--coupling=-0.5"])
+    assert run(capsys, ["scatter", "--scenario", path, "--coupling", "-.5"]) == joined
+    assert run(capsys, ["scatter", "--scenario", path, "--coupling", "-5e-1"]) == joined
+    assert joined[0] == 0
+
+
 @pytest.mark.parametrize("coupling", ["nan", "inf", "-inf"])
 def test_scatter_rejects_non_finite_coupling(tmp_path, capsys, monkeypatch, coupling):
     def unreachable(*args):

@@ -19,6 +19,7 @@ from toyqft import (
 )
 from toyqft.errors import NotInBasis, SpaceMismatch, UnknownMode
 from toyqft.ladder import OperatorMatrix, identity, number_operator
+from toyqft.spectral import _Sector
 
 from conftest import (
     boson_modes,
@@ -305,9 +306,19 @@ def test_sparse_arithmetic_matches_dense(x, y, scalar):
     assert_canonical(a * 0, 0 * x)
     assert_canonical(-a, -x)
     assert_canonical(a.adjoint(), x.conj().T)
-    v = (x + y)[0]
-    assert np.max(np.abs(a.matvec(v) - x @ v), initial=0.0) <= 1e-15
     assert a.one_norm() == pytest.approx(np.abs(x).sum(0).max(), rel=1e-15, abs=0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sparse_dense(), sparse_dense())
+def test_sector_product_matches_dense(x, y):
+    """The exp action's product, on the kets v reaches through x's
+    entries, is x @ v; x @ v is 0 on every other ket."""
+    v = (x + y)[0]
+    sector = _Sector(OperatorMatrix(PROPERTY_SPACE, x), v)
+    got = np.zeros_like(v)
+    got[sector.kets] = sector.product(sector.data, v[sector.kets])
+    assert np.max(np.abs(got - x @ v), initial=0.0) <= 1e-15
 
 
 def test_ladder_entries_are_canonical():

@@ -17,12 +17,13 @@ from toyqft import (
     probability,
     probability_table,
     scattering_operator,
+    unitary_exp,
 )
 from toyqft.errors import EmptyRoster, NotInBasis
 from toyqft.ladder import OperatorMatrix
 from toyqft.scatter import _momentum_table, total_momentum
 from toyqft.spacetime import phase, space_slice
-from toyqft.spectral import apply_unitary_exp
+from toyqft.spectral import _Sector, apply_unitary_exp
 
 MAXABS = np.abs
 
@@ -355,3 +356,65 @@ def test_exp_action_matches_dense_column(m1, m2, r, s, x0, stats, coupling):
     expected = scattering_operator(h, coupling).mat[:, n_in]
     assert np.max(np.abs(column - expected)) <= 1e-12
     assert abs(np.linalg.norm(column) - 1) <= 1e-12
+
+
+def block_in_state(space, m1, r):
+    """e_in for the in-state with one particle in each mass block."""
+    n_in = ket(space, 0, len(hyperboloid(m1, r)))
+    e_in = np.zeros(space.dimension, dtype=complex)
+    e_in[n_in] = 1
+    return e_in
+
+
+@pytest.mark.parametrize(
+    "m1, m2, r, s, x0, stats",
+    MIX_SMALL_SCATTERS + [(1, 1, 2, 3, 0, "BB")],
+    ids=[f"{st}-m{m1}{m2}-r{r}-s{s}-x{x0}" for m1, m2, r, s, x0, st in MIX_SMALL_SCATTERS]
+    + ["deep"],
+)
+def test_exp_action_stays_in_parity_sector(m1, m2, r, s, x0, stats):
+    """H changes the particle number by 0 or 2, so the two-particle
+    in-state reaches only even-N kets and every odd-N amplitude is
+    exactly 0."""
+    space = build_space(build_roster(m1, m2, r, *STATS[stats]), s)
+    h = hamiltonian(space, x0, r, m1, m2)
+    e_in = block_in_state(space, m1, r)
+    odd = space.occupations.sum(1) % 2 == 1
+    assert not odd[_Sector(h, e_in).kets].any()
+    assert not apply_unitary_exp(h, e_in, 1.0)[odd].any()
+
+
+def test_exp_action_reaches_every_even_ket_at_r2_s3():
+    space = build_space(build_roster(1, 1, 2), 3)  # dim 1,330
+    sector = _Sector(hamiltonian(space, 0, 2, 1, 1), block_in_state(space, 1, 2))
+    assert len(sector.kets) == 172  # 1 vacuum + 171 two-particle kets
+
+
+@pytest.mark.parametrize("coupling", [1.0, -0.5, 30.0])
+def test_exp_action_of_both_parities_matches_dense(coupling):
+    space = build_space(build_roster(1, 1, 2), 2)
+    h = hamiltonian(space, 1, 2, 1, 1)
+    v = block_in_state(space, 1, 2)
+    v[[1, 5]] = 0.5j, -0.25  # one-particle kets
+    expected = unitary_exp(eigh(coupling * h)) @ v
+    assert np.max(np.abs(apply_unitary_exp(h, v, coupling) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "m1, m2, r, s, x0, stats",
+    MIX_SMALL_SCATTERS + [(1, 2, 2, 3, 0, "BB")],
+    ids=[f"{st}-m{m1}{m2}-r{r}-s{s}-x{x0}" for m1, m2, r, s, x0, st in MIX_SMALL_SCATTERS]
+    + ["BB-m12-r2-s3-x0"],
+)
+def test_exp_bound_between_spectral_radius_and_one_norm(m1, m2, r, s, x0, stats):
+    """On the in-state's kets and on all kets, the Collatz–Wielandt bound
+    is at least the spectral radius of H there and at most ||H||_1 (up
+    to rounding)."""
+    space = build_space(build_roster(m1, m2, r, *STATS[stats]), s)
+    h = hamiltonian(space, x0, r, m1, m2)
+    dense = h.mat
+    for v in (block_in_state(space, m1, r), np.ones(space.dimension)):
+        sector = _Sector(h, v)
+        radius = np.abs(np.linalg.eigvalsh(dense[np.ix_(sector.kets, sector.kets)])).max()
+        assert radius <= sector.bound() * (1 + 1e-12)
+        assert sector.bound() <= h.one_norm() * (1 + 1e-12)
