@@ -7,7 +7,6 @@ from .fock import (
     Statistics,
     build_space,
     canonicalize,
-    ket,
 )
 from .ladder import (
     OperatorMatrix,
@@ -44,11 +43,9 @@ from .spacetime import (
     space_volume,
 )
 from .scatter import (
-    amplitude,
     build_roster,
     hamiltonian,
     hamiltonian_density,
-    probability,
     probability_table,
     scattering_operator,
 )

@@ -8,8 +8,6 @@ pure-boson and mixed spaces are all instances of the same construction.
 from dataclasses import dataclass, field
 from enum import Enum
 
-from math import comb
-
 import numpy as np
 
 from .errors import InvalidRoster, NotInBasis, UnknownMode
@@ -153,11 +151,6 @@ class FockSpace:
             row[0, mode_id] = count
         return int(self.find_rows(row)[0])  # every such row is a ket
 
-    def state_at(self, ordinal):
-        if not 0 <= ordinal < self.dimension:
-            raise NotInBasis(f"ordinal {ordinal} out of range")
-        return self.states_at([ordinal])[0]
-
     def states_at(self, ordinals):
         """OccupationState of each ket in an ordinal array, in its order."""
         rows = self.occupations[ordinals]
@@ -175,10 +168,6 @@ class FockSpace:
             ))
             start = end
         return states
-
-    def basis_to_json(self):
-        """Ordered basis dump: fermion ids and boson counts per ket."""
-        return [state.to_json() for state in self.basis]
 
 
 def _row_keys(rows):
@@ -219,16 +208,6 @@ def build_space(modes, cutoff_s):
     occupations = np.ascontiguousarray(rows[order])
     occupations.flags.writeable = False
     return FockSpace(modes, cutoff_s, occupations)
-
-
-def fermion_dimension(s):
-    """Closed form for a pure-fermion space with n = s modes."""
-    return 2**s
-
-
-def boson_dimension(n, s):
-    """Closed form for a pure-boson space: sum of multiset coefficients."""
-    return sum(comb(n + k - 1, k) for k in range(s + 1))
 
 
 def _permutation_sign(seq):
@@ -283,15 +262,3 @@ def canonicalize(space, raw):
     )
     return state, sign
 
-
-def ket(space, *raw):
-    """Basis index of the canonical state for a raw id sequence.
-
-    Convenience for tests and the CLI; the dropped sign is only ever
-    relevant for odd fermion permutations.
-    """
-    result = canonicalize(space, raw)
-    if result is None:
-        raise NotInBasis(f"sequence {raw} annihilates (repeated fermion)")
-    state, _ = result
-    return space.index_of(state)

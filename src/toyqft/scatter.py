@@ -102,25 +102,6 @@ def scattering_operator(h, coupling=1.0):
     return OperatorMatrix(h.space, u)
 
 
-def amplitude(s, in_state, out_state):
-    """Matrix element <out|S|in> between unit basis kets."""
-    space = s.space
-    return complex(s.mat[space.index_of(out_state), space.index_of(in_state)])
-
-
-def probability(s, in_state, out_state):
-    """Transition probability |<out|S|in>|^2."""
-    return abs(amplitude(s, in_state, out_state)) ** 2
-
-
-def total_momentum(space, state):
-    """Summed 4-momentum of a basis state's occupied modes, or None when
-    some occupied mode carries no momentum label."""
-    momenta, labeled = _momentum_table(space)
-    n = space.index_of(state)
-    return tuple(momenta[n].tolist()) if labeled[n] else None
-
-
 @dataclass(frozen=True)
 class ProbabilityRow:
     out_state: object
@@ -130,7 +111,8 @@ class ProbabilityRow:
 
 def probability_table(space, amplitudes, in_state, threshold=0.0,
                       enforce_conservation=False):
-    """All out-states with probability above threshold, descending.
+    """All out-states with probability above threshold, descending; rows
+    whose probabilities agree to 36 significant bits in ascending ket order.
 
     amplitudes is the column S|in> over the space's basis.  Each row
     flags whether the out-state's total 4-momentum equals the in-state's;
@@ -148,7 +130,11 @@ def probability_table(space, amplitudes, in_state, threshold=0.0,
     conserves = (momenta == momenta[n_in]).all(1)
     keep = (prob > threshold) & (conserves | ~flagged | (not enforce_conservation))
     kept = np.flatnonzero(keep)
-    kept = kept[np.argsort(-prob[kept], kind="stable")]
+    # P rounded to 36 bits (about 11 digits) so that rows equal in exact
+    # arithmetic keep ket order whatever the last-bit rounding
+    mantissa, exponent = np.frexp(prob[kept])
+    rounded = np.ldexp(np.round(np.ldexp(mantissa, 36)), exponent - 36)
+    kept = kept[np.lexsort((kept, -rounded))]
     flags = np.where(flagged, conserves, None)
     return [
         ProbabilityRow(state, float(prob[n]), flags[n])

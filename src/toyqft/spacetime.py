@@ -109,28 +109,23 @@ def space_slice(x0):
     return points
 
 
-def field_at(space, x, r, m, mode_ids=None):
+def field_at(space, x, r, m, mode_ids):
     """Free field at lattice point x: one AC term per mass-m hyperboloid
     point with p0 <= r, with coefficient phase(p, x) / p0.
 
-    The space's roster must carry one mode per hyperboloid point (matched
-    by 4-momentum); mode_ids optionally restricts the candidate modes,
-    which disambiguates rosters holding two equal-mass blocks.  Massless
-    fields are rejected: the p0 = 0 point has no finite coefficient.
+    The modes mode_ids must carry one mode per hyperboloid point (matched
+    by 4-momentum); naming them keeps the two blocks of an equal-mass
+    roster apart.  Massless fields are rejected: the p0 = 0 point has no
+    finite coefficient.
     """
     points = hyperboloid(m, r)
     if any(p.p0 == 0 for p in points):
         raise DivisionByZeroEnergy(
             f"mass-{m} hyperboloid contains a zero-energy point"
         )
-    candidates = (
-        space.modes
-        if mode_ids is None
-        else [space.mode(i) for i in mode_ids]
-    )
     by_momentum = {
         mode.momentum: mode
-        for mode in candidates
+        for mode in map(space.mode, mode_ids)
         if mode.momentum is not None and mode.mass == m
     }
     terms = []

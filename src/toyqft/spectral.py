@@ -45,12 +45,6 @@ class SpectralDecomposition:
         """(eigenvalue, multiplicity) list, ascending."""
         return [(g.value, g.multiplicity) for g in self.groups]
 
-    def to_json(self):
-        return [
-            {"lambda": g.value, "multiplicity": g.multiplicity}
-            for g in self.groups
-        ]
-
 
 def _canonical_phase(vectors):
     """Rotate each column so its first nonzero entry is real positive;

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toyqft import ParticleMode, Statistics, build_space
+from toyqft import ParticleMode, Statistics, build_space, canonicalize
 
 
 def fermion_modes(n, mass=0):
@@ -29,6 +29,13 @@ def l_space(m, n, s):
     """Mixed space: m fermions then n bosons, cutoff s."""
     modes = fermion_modes(m) + boson_modes(n, start=m)
     return build_space(modes, s)
+
+
+def ket(space, *raw):
+    """Basis index of the canonical state for a raw mode-id sequence; the
+    exchange sign is dropped."""
+    state, _ = canonicalize(space, raw)
+    return space.index_of(state)
 
 
 def generic_coeffs(rng, count):

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toyqft import build_roster, build_space, cli, hamiltonian, ket, scattering_operator
+from toyqft import build_roster, build_space, cli, hamiltonian, scattering_operator
 from toyqft.cli import emit_report, main
 from toyqft.ladder import OperatorMatrix
+
+from conftest import ket
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 

@@ -8,13 +8,12 @@ from toyqft import (
     eigh,
     free_field,
     interaction_field,
-    ket,
     self_interaction,
 )
 from toyqft.errors import DuplicateTerm, NotAForm, SpaceMismatch, UnknownMode
 from toyqft.ladder import identity, zero
 
-from conftest import generic_coeffs, j_space, k_space, l_space
+from conftest import generic_coeffs, j_space, k_space, ket, l_space
 
 
 def vector_from_kets(space, components):
@@ -256,10 +255,11 @@ def test_classify_unknown_mode(p_mode, q_mode):
 def reference_classify(space, vector, p_mode, q_mode, tol):
     """classify_form ket by ket: (type, form, parity), or None for no form."""
     pairs, spectator = [], None
+    basis = space.basis
     for idx, amp in enumerate(vector):
         if abs(amp) <= tol:
             continue
-        state = space.state_at(idx)
+        state = basis[idx]
         rest = [state.count_of(m.id) for m in space.modes if m.id not in (p_mode, q_mode)]
         if spectator not in (None, rest):
             return None

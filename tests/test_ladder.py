@@ -15,7 +15,6 @@ from toyqft import (
     build_roster,
     build_space,
     canonicalize,
-    ket,
 )
 from toyqft.errors import NotInBasis, SpaceMismatch, UnknownMode
 from toyqft.ladder import OperatorMatrix, identity, number_operator
@@ -27,6 +26,7 @@ from conftest import (
     generic_coeffs,
     j_space,
     k_space,
+    ket,
     l_space,
 )
 

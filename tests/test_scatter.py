@@ -1,3 +1,7 @@
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,24 +10,23 @@ from toyqft import (
     OccupationState,
     ParticleMode,
     Statistics,
-    amplitude,
     build_roster,
     build_space,
     eigh,
     hamiltonian,
     hamiltonian_density,
     hyperboloid,
-    ket,
-    probability,
     probability_table,
     scattering_operator,
     unitary_exp,
 )
-from toyqft.errors import EmptyRoster, NotInBasis
+from toyqft.errors import EmptyRoster
 from toyqft.ladder import OperatorMatrix
-from toyqft.scatter import _momentum_table, total_momentum
+from toyqft.scatter import _momentum_table
 from toyqft.spacetime import phase, space_slice
 from toyqft.spectral import _Sector, apply_unitary_exp
+
+from conftest import ket
 
 MAXABS = np.abs
 
@@ -206,23 +209,10 @@ def test_coupling_scales_phase():
     assert np.max(np.abs((s_half @ s_half).mat - scattering_operator(h).mat)) <= 1e-9
 
 
-def test_amplitude_probability_identity_operator():
-    space = boson_space()
-    s = OperatorMatrix(space, np.eye(space.dimension, dtype=complex))
-    state_in = two_particle_in(space)
-    assert probability(s, state_in, state_in) == pytest.approx(1.0)
-    other = OccupationState()
-    assert probability(s, state_in, other) == 0.0
-    assert amplitude(s, state_in, state_in) == 1.0 + 0j
-
-
 def test_probability_rows_sum_to_one():
     space = boson_space(r=2, s=2)
     s = scattering_operator(hamiltonian(space, 1, 2, 1, 1))
-    state_in = two_particle_in(space)
-    total = sum(
-        probability(s, state_in, out) for out in space.basis
-    )
+    total = np.sum(np.abs(column(s, two_particle_in(space))) ** 2)
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -243,7 +233,8 @@ def test_probability_table_sorted_and_bounded():
     state_in = two_particle_in(space)
     rows = probability_table(space, column(s, state_in), state_in, threshold=1e-12)
     probs = [r.probability for r in rows]
-    assert probs == sorted(probs, reverse=True)
+    keys = [rounded(p) for p in probs]
+    assert keys == sorted(keys, reverse=True)
     assert sum(probs) <= 1 + 1e-9
 
 
@@ -254,9 +245,16 @@ def test_probability_table_conservation_filter():
     kept = probability_table(
         space, column(s, state_in), state_in, enforce_conservation=True
     )
-    p_in = total_momentum(space, state_in)
+    momenta, _ = _momentum_table(space)
+    p_in = momenta[space.index_of(state_in)]
     for row in kept:
-        assert total_momentum(space, row.out_state) == p_in
+        assert np.array_equal(momenta[space.index_of(row.out_state)], p_in)
+
+
+def rounded(p):
+    """p to 36 significant bits: probability_table's sort key."""
+    mantissa, exponent = math.frexp(p)
+    return math.ldexp(round(mantissa * 2**36), exponent - 36)
 
 
 def reference_table(s, in_state, threshold, enforce):
@@ -276,7 +274,7 @@ def reference_table(s, in_state, threshold, enforce):
         flag = None if p_in is None or p_out is None else p_out == p_in
         if prob > threshold and not (enforce and flag is False):
             rows.append((n, prob, flag))
-    return sorted(rows, key=lambda row: (-row[1], row[0]))
+    return sorted(rows, key=lambda row: (-rounded(row[1]), row[0]))
 
 
 @pytest.mark.parametrize("unitary", ["random", "scattering"])
@@ -310,18 +308,15 @@ def test_probability_table_matches_ket_by_ket(in_modes, threshold, enforce, unit
         assert flags == ({None} if 10 in dict(in_modes) else {True, None} if enforce else {True, False, None})
 
 
-def test_total_momentum():
-    space = boson_space(r=1)
-    state = two_particle_in(space)
-    assert total_momentum(space, state) == (2, 0, 0, 0)
-    assert total_momentum(space, OccupationState()) == (0, 0, 0, 0)
-
-
-def test_amplitude_not_in_basis():
+def test_probability_table_lists_ties_in_ket_order():
+    """Probabilities one rounding apart, as ties of exact arithmetic come
+    out of floating point, are listed by ascending ket."""
     space = boson_space()
-    s = OperatorMatrix(space, np.eye(space.dimension, dtype=complex))
-    with pytest.raises(NotInBasis):
-        amplitude(s, OccupationState(bosons=((0, 5),)), OccupationState())
+    amplitudes = np.zeros(space.dimension, dtype=complex)
+    amplitudes[[0, 2, 4, 5]] = 0.6, 0.5, np.nextafter(0.5, 1), 0.1j
+    rows = probability_table(space, amplitudes, two_particle_in(space))
+    assert [space.index_of(row.out_state) for row in rows] == [0, 2, 4, 5]
+    assert rows[1].probability < rows[2].probability
 
 
 # (m1, m2, r, s, x0, statistics) of every scatter class in the benchmark's
@@ -418,3 +413,15 @@ def test_exp_bound_between_spectral_radius_and_one_norm(m1, m2, r, s, x0, stats)
         radius = np.abs(np.linalg.eigvalsh(dense[np.ix_(sector.kets, sector.kets)])).max()
         assert radius <= sector.bound() * (1 + 1e-12)
         assert sector.bound() <= h.one_norm() * (1 + 1e-12)
+
+
+def test_readme_example_runs():
+    """The README's Python example runs on the current API and gives the
+    P(vacuum) at s=2 that the README quotes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    quoted = float(re.search(r"P\(vacuum\) is ([0-9.]+) at s=2", readme)[1])
+    scope = {}
+    exec(example, scope)
+    (vacuum,) = [r.probability for r in scope["rows"] if r.out_state == OccupationState()]
+    assert round(vacuum, 3) == quoted == 0.287

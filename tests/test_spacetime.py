@@ -139,21 +139,21 @@ def test_field_at_coefficient_magnitudes():
     roster = build_roster(1, 1, 2)
     space = build_space(roster, 2)
     n1 = len(hyperboloid(1, 2))
-    phi = field_at(space, LatticePoint(0), 2, 1, mode_ids=range(n1))
-    # vacuum row shows one amplitude per one-particle ket: 1/p0 each
-    mags = sorted(
-        np.abs(phi.mat[0, idx])
-        for idx, state in enumerate(space.basis)
-        if state.total == 1 and np.abs(phi.mat[0, idx]) > 1e-12
-    )
-    assert np.allclose(mags, [0.5] * 8 + [1.0])
+    basis = space.basis
+    # both blocks have mass 1: each block's ids move that block's modes only
+    for ids in (range(n1), range(n1, 2 * n1)):
+        phi = field_at(space, LatticePoint(0), 2, 1, mode_ids=ids)
+        # vacuum row shows one amplitude per one-particle ket: 1/p0 each
+        kets = np.flatnonzero(phi.mat[0])
+        assert [basis[n].bosons[0][0] for n in kets] == list(ids)
+        assert np.allclose(sorted(np.abs(phi.mat[0, kets])), [0.5] * 8 + [1.0])
 
 
 def test_field_at_hermitian():
     roster = build_roster(1, 2, 2)
     space = build_space(roster, 2)
     for x in (LatticePoint(0), LatticePoint(3, (1, -2, 0))):
-        phi = field_at(space, x, 2, 1)
+        phi = field_at(space, x, 2, 1, mode_ids=range(len(hyperboloid(1, 2))))
         assert np.array_equal(phi.mat, phi.mat.conj().T)
 
 
@@ -161,7 +161,7 @@ def test_field_at_massless_rejected():
     roster = build_roster(1, 1, 1)
     space = build_space(roster, 2)
     with pytest.raises(DivisionByZeroEnergy):
-        field_at(space, LatticePoint(0), 1, 0)
+        field_at(space, LatticePoint(0), 1, 0, mode_ids=[0, 1])
 
 
 def test_field_at_missing_mode():

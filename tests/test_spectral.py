@@ -152,14 +152,6 @@ def test_degenerate_grouping_merges():
     assert eigh(h).pairs()[0][1] == 2
 
 
-def test_decomposition_json():
-    rows = eigh(np.diag([2.0, 2.0, 4.0]).astype(complex)).to_json()
-    assert rows == [
-        {"lambda": 2.0, "multiplicity": 2},
-        {"lambda": 4.0, "multiplicity": 1},
-    ]
-
-
 def test_exp_action_of_zero_is_identity():
     space = k_space(3)
     h = free_field(space, [(0, 0.7 - 0.2j), (2, 1.1)])
