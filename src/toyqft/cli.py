@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import os
+import random
 import sys
 
 import numpy as np
@@ -39,7 +40,8 @@ from .spacetime import hyperboloid, space_volume
 from .spectral import apply_unitary_exp, eigh
 
 SEED_ENV = "TOYQFT_SEED"
-# Largest |g|·‖H‖₁ that scatter accepts.  exp(igH)|in> costs about |g|ρ
+# Largest |g|·‖H‖₁ that scatter accepts, H the block on the in-state's
+# (-1)^N sector that the series runs on.  exp(igH)|in> costs about |g|ρ
 # products with H on the in-state's kets, ρ ≤ ‖H‖₁ the bound the series
 # scales by, so |g|·‖H‖₁ is a conservative ceiling on that cost.
 COUPLING_BOUND = 1e4
@@ -269,8 +271,8 @@ def _algebra_checks(space, rng):
 
     for m in modes:
         note(rows[0], cre[m.id] - ann[m.id].adjoint())
-        alpha = complex(rng.normal(), rng.normal())
-        eta = alpha * ann[m.id] + np.conj(alpha) * cre[m.id]
+        alpha = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        eta = alpha * ann[m.id] + alpha.conjugate() * cre[m.id]
         note(rows[1], eta - eta.adjoint())
 
     # Same-family fermions anticommute and every other same-statistics
@@ -298,7 +300,7 @@ def _run_verify(scenario, fmt, tol):
         raise ScenarioError("tol", "must be a finite number")
     space = _parse_space(scenario)
     seed = int(os.environ.get(SEED_ENV, "0"))
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     rows = []
     failed = False
     for name, violation in _algebra_checks(space, rng).items():
@@ -358,8 +360,10 @@ def _run_scatter(scenario, fmt, enforce, coupling):
     except ToyQFTError as exc:
         raise ScenarioError("scatter", str(exc)) from exc
     in_state = _parse_state(space, _require(scenario, "in_state"), "in_state")
+    # each field moves one count by 1, so H keeps the in-state's (-1)^N
+    sector = np.flatnonzero(space.occupations.sum(1) % 2 == in_state.total % 2)
     try:
-        h = hamiltonian(space, x0, r, mass1, mass2)
+        h = hamiltonian(space, x0, r, mass1, mass2, sector)
     except ToyQFTError as exc:
         raise ScenarioError("scatter", str(exc)) from exc
     scale = abs(coupling) * h.one_norm()

@@ -191,21 +191,30 @@ def build_space(modes, cutoff_s):
     modes = tuple(sorted(modes, key=lambda m: m.id))
     fermion = np.array([m.statistics is Statistics.FERMION for m in modes], bool)
 
-    # every count row with total <= cutoff_s, one mode (column) at a time
-    rows = np.zeros((1, 0), dtype=np.int64)
-    for cap in np.where(fermion, 1, cutoff_s).tolist():
-        count = np.tile(np.arange(cap + 1), len(rows))
-        rows = np.column_stack([np.repeat(rows, cap + 1, axis=0), count])
-        rows = rows[rows.sum(1) <= cutoff_s]
-
-    # sort by (total, encoding): encoding entry j is the first canonical
-    # column (fermions, then bosons) whose running count passes j, or -1
+    # A ket of total t is its t particles' canonical positions (fermion
+    # columns, then boson columns), ascending and without a repeated
+    # fermion.  Rows in lexicographic order make the kets of total t-1
+    # whose first position is >= e a tail, so total t is each position e
+    # put before its tail (> e for a fermion), again in that order.
     canonical = np.argsort(~fermion, kind="stable")
-    running = rows[:, canonical].cumsum(1)
-    padded = np.append(canonical, -1)
-    encoding = [padded[(running <= j).sum(1)] for j in range(cutoff_s)]
-    order = np.lexsort([*encoding[::-1], rows.sum(1)])
-    occupations = np.ascontiguousarray(rows[order])
+    n = len(modes)
+    block, heads = np.zeros((1, 0), dtype=np.int64), np.array([n])
+    encodings = [block]  # per total, mode ids of the positions, basis order
+    for _ in range(cutoff_s if n else 0):  # no mode: the vacuum alone
+        starts = heads.searchsorted(np.arange(n) + fermion[canonical])
+        heads = np.arange(n).repeat(len(heads) - starts)
+        block = np.column_stack([heads, np.concatenate([block[s:] for s in starts])])
+        ids = canonical[block]
+        # the basis orders by mode ids: only a boson id below a fermion
+        # id moves a row
+        encodings.append(ids[np.lexsort(ids.T[::-1])])
+    # one count per (ket, mode id) entry of each total's encodings
+    occupations = np.concatenate([
+        np.bincount(
+            (np.arange(len(ids))[:, None] * n + ids).ravel(), minlength=len(ids) * n
+        ).reshape(len(ids), n)
+        for ids in encodings
+    ])
     occupations.flags.writeable = False
     return FockSpace(modes, cutoff_s, occupations)
 

@@ -49,12 +49,10 @@ class OperatorMatrix:
 
     @classmethod
     def _summed(cls, space, *parts):
-        """Operator of the (rows, cols, data) entries of every part, in any
-        order: repeated positions are summed in the order given, then
-        zeros are dropped."""
-        rows, cols, data = map(np.concatenate, zip(*parts))
-        n = space.dimension
-        keys = rows * n + cols
+        """Operator of the (keys, data) entries of every part, in any order,
+        key row * dim + col: repeated positions are summed in the order
+        given, then zeros are dropped."""
+        keys, data = map(np.concatenate, zip(*parts))
         order = keys.argsort(kind="stable")
         keys, data = keys[order], data[order]
         first = np.empty(len(keys), dtype=bool)
@@ -64,7 +62,7 @@ class OperatorMatrix:
             starts = first.nonzero()[0]
             data = np.add.reduceat(data, starts)
             keys = keys[starts]
-        rows, cols = np.divmod(keys, n)
+        rows, cols = np.divmod(keys, space.dimension)
         return cls._sorted(space, rows, cols, data)
 
     @property
@@ -82,19 +80,19 @@ class OperatorMatrix:
         return self + -other
 
     def _product_terms(self, other):
-        """(rows, cols, data) of every term A_ik B_kj of self @ other, by
-        row join: each entry (i, k) of self meets every entry (k, j) of
-        other.  Terms of one (i, j) come in ascending k."""
+        """(keys, data) of every term A_ik B_kj of self @ other, key
+        i * dim + j, by row join: each entry (i, k) of self meets every
+        entry (k, j) of other.  Terms of one (i, j) come in ascending k."""
         if other.space is not self.space:
             raise SpaceMismatch("operators act on different spaces")
-        ptr = other.rows.searchsorted(np.arange(self.space.dimension + 1))
+        n = self.space.dimension
+        ptr = other.rows.searchsorted(np.arange(n + 1))
         start = ptr[self.cols]
         count = ptr[self.cols + 1] - start
         # index into other's entries of each product term
         pick = np.arange(count.sum()) + (start - (count.cumsum() - count)).repeat(count)
         return (
-            self.rows.repeat(count),
-            other.cols[pick],
+            (self.rows * n).repeat(count) + other.cols[pick],
             self.data.repeat(count) * other.data[pick],
         )
 
@@ -186,8 +184,8 @@ def creator(space, mode_id):
 
 def commutator(a, b):
     """[A, B] = AB - BA, summed entry by entry in one pass."""
-    rows, cols, data = b._product_terms(a)
-    return OperatorMatrix._summed(a.space, a._product_terms(b), (rows, cols, -data))
+    keys, data = b._product_terms(a)
+    return OperatorMatrix._summed(a.space, a._product_terms(b), (keys, -data))
 
 
 def anticommutator(a, b):
@@ -203,7 +201,8 @@ def operator_sum(space, ops):
     for op in ops:
         if op.space is not space:
             raise SpaceMismatch("operators act on different spaces")
-    return OperatorMatrix._summed(space, *((op.rows, op.cols, op.data) for op in ops))
+    n = space.dimension
+    return OperatorMatrix._summed(space, *((op.rows * n + op.cols, op.data) for op in ops))
 
 
 def ac_operator(space, mode_id, alpha):
@@ -212,8 +211,9 @@ def ac_operator(space, mode_id, alpha):
     adjoint of a)."""
     a = annihilator(space, mode_id)
     data = complex(alpha) * a.data
+    n = space.dimension
     return OperatorMatrix._summed(
-        space, (a.rows, a.cols, data), (a.cols, a.rows, data.conj())
+        space, (a.rows * n + a.cols, data), (a.cols * n + a.rows, data.conj())
     )
 
 

@@ -16,7 +16,7 @@ from .errors import EmptyRoster
 from .fields import interaction_field
 from .fock import ParticleMode, Statistics
 from .ladder import OperatorMatrix
-from .spacetime import _QUARTER_TURNS, LatticePoint, field_at, hyperboloid, space_slice
+from .spacetime import LatticePoint, field_at, hyperboloid, space_slice
 from .spectral import eigh, unitary_exp
 
 
@@ -45,19 +45,20 @@ def build_roster(mass1, mass2, r, statistics1=Statistics.BOSON,
     return modes
 
 
-def _mass_blocks(space, r, m1, m2):
+def _fields(space, x, r, m1, m2):
+    """The mass-m1 and mass-m2 block fields at lattice point x."""
     n1 = len(hyperboloid(m1, r))
     n = len(build_roster(m1, m2, r))  # EmptyRoster if a block is empty
     ids = [m.id for m in space.modes]
-    return ids[:n1], ids[n1:n]
+    return (
+        field_at(space, x, r, m1, mode_ids=ids[:n1]),
+        field_at(space, x, r, m2, mode_ids=ids[n1:n]),
+    )
 
 
 def hamiltonian_density(space, x, r, m1, m2):
     """Interaction of the two mass-block fields at lattice point x."""
-    block1, block2 = _mass_blocks(space, r, m1, m2)
-    phi = field_at(space, x, r, m1, mode_ids=block1)
-    psi = field_at(space, x, r, m2, mode_ids=block2)
-    return interaction_field(phi, psi)
+    return interaction_field(*_fields(space, x, r, m1, m2))
 
 
 def _momentum_table(space):
@@ -69,25 +70,62 @@ def _momentum_table(space):
     return occ @ labels.reshape(-1, 4), ~occ[:, unlabeled].any(1)
 
 
-def hamiltonian(space, x0, r, m1, m2):
-    """Average of the density over the time-x0 slice {|x| <= x0}.
+def hamiltonian(space, x0, r, m1, m2, kets=None):
+    """Average of the density over the time-x0 slice {|x| <= x0}, as its
+    block on `kets` (rows and columns; every ket by default).
 
     Field coefficients are phase(p, x) / p0 and a(p) lowers a ket's total
     4-momentum P by p, so tau(x) = D(x) tau(0) D(x)* exactly, with
     D(x) = diag(i^(-P_n.x)).  The average is tau(0) times M entry by
-    entry, M_mn = avg_x i^((P_n - P_m).x) = avg_k d_k[m] conj(d_k[n])
-    where d_k is the diagonal of D(x_k), needed only where tau(0) is
+    entry, M_mn = avg_x i^((P_n - P_m).x), needed only where tau(0) is
     nonzero.  Modes the fields do not move cancel in P_n - P_m there.
+
+    With Q the projector on `kets`, the block Q tau(0) Q is
+    ((phi Q)* (psi Q) + (psi Q)* (phi Q)) / 2 for the fields at the
+    origin, and (phi Q)* = Q phi as phi is Hermitian entry for entry: so
+    the left factors keep their entries in Q's rows, the right factors
+    those in Q's columns, and the block holds exactly tau(0)'s terms there.
     """
+    left = right = _fields(space, LatticePoint(0), r, m1, m2)
+    if kets is not None:
+        inside = np.zeros(space.dimension, dtype=bool)
+        inside[kets] = True
+        left = [_entries(f, inside[f.rows]) for f in left]
+        right = [_entries(f, inside[f.cols]) for f in right]
+    tau = OperatorMatrix._summed(
+        space, left[0]._product_terms(right[1]), left[1]._product_terms(right[0])
+    )
+    data = tau.data  # fresh: scaled and masked in place
+    data *= 0.5
+    data *= _slice_mask(space, x0, tau.rows, tau.cols)
+    return OperatorMatrix._sorted(space, tau.rows, tau.cols, data)
+
+
+def _entries(op, keep):
+    """The operator of op's entries where keep is set."""
+    return OperatorMatrix._sorted(op.space, op.rows[keep], op.cols[keep], op.data[keep])
+
+
+def _slice_mask(space, x0, rows, cols):
+    """M at the entries (rows, cols): with c_k the number of slice points
+    x where (P_n - P_m).x = k mod 4, M_mn = ((c_0 - c_2) + i(c_1 - c_3)) / |slice|."""
     points = space_slice(x0)
-    tau = hamiltonian_density(space, LatticePoint(0), r, m1, m2)
     momenta, _ = _momentum_table(space)
     # row k of g is slice point k as (x0, -x), so g @ P.T holds P.x
     g = np.array([x.as_tuple() for x in points]) * (1, -1, -1, -1)
-    d = np.array(_QUARTER_TURNS)[(g @ momenta.T) % 4].conj()
-    # one slice point at a time: a gather per point, not an nnz x |slice| table
-    mask = sum(dk[tau.rows] * dk[tau.cols].conj() for dk in d) / len(points)
-    return OperatorMatrix._sorted(space, tau.rows, tau.cols, tau.data * mask)
+    turns = ((g @ momenta.T) % 4).astype(np.int8)
+    real = np.zeros(len(rows), dtype=np.int32)
+    imag = np.zeros(len(rows), dtype=np.int32)
+    for t in turns:  # one slice point at a time, quarter turns per entry
+        k = (t[cols] - t[rows]) & 3
+        real += k == 0
+        real -= k == 2
+        imag += k == 1
+        imag -= k == 3
+    mask = np.empty(len(rows), dtype=complex)
+    mask.real, mask.imag = real, imag
+    mask /= len(points)
+    return mask
 
 
 def scattering_operator(h, coupling=1.0):

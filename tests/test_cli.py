@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -543,6 +544,88 @@ def test_scatter_coupling_just_under_bound_runs(tmp_path, capsys):
     code, out, _ = run(capsys, ["scatter", "--scenario", path, f"--coupling={coupling}"])
     assert code == 0
     assert sum(row[1] for row in json.loads(out)["rows"]) == pytest.approx(1.0, abs=1e-9)
+
+
+# r=2, s=3, x0=0 with one particle per block: H's block on the even
+# (-1)^N sector has 172 of the 1,330 kets and a smaller ||H||_1
+SCATTER_R2_EVEN = dict(SCATTER_R1, r=2, cutoff_s=3, in_state={"modes": [[0, 1], [9, 1]]})
+
+
+def _r2_even_norm():
+    """||H||_1 of SCATTER_R2_EVEN's Hamiltonian block on the even sector."""
+    space = build_space(build_roster(1, 1, 2), 3)
+    even = np.flatnonzero(space.occupations.sum(1) % 2 == 0)
+    return hamiltonian(space, 0, 2, 1, 1, even).one_norm()
+
+
+def test_scatter_guard_uses_the_sector_norm(tmp_path, capsys):
+    assert _r2_even_norm() == 25.0
+    path = write_scenario(tmp_path, SCATTER_R2_EVEN)
+    under = repr(cli.COUPLING_BOUND / _r2_even_norm() * (1 - 1e-9))
+    code, out, _ = run(capsys, ["scatter", "--scenario", path, f"--coupling={under}"])
+    assert code == 0
+    assert sum(row[1] for row in json.loads(out)["rows"]) == pytest.approx(1.0, abs=1e-9)
+    over = repr(cli.COUPLING_BOUND / _r2_even_norm() * (1 + 1e-9))
+    code, out, err = run(capsys, ["scatter", "--scenario", path, f"--coupling={over}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("scenario error: coupling: |g|·‖H‖₁ = ")
+    assert err.endswith(" exceeds 1e4\n") and err.count("\n") == 1
+
+
+def test_scatter_peak_traced_memory(tmp_path):
+    """One flagship r=2, s=3 scatter op allocates at most 2 MiB at its
+    peak: H and the series live on the 172-ket even sector."""
+    path = write_scenario(tmp_path, SCATTER_R2_EVEN)
+
+    def op():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main(["scatter", "--scenario", path])
+
+    assert op() == 0  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        assert op() == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+# two fermions and two bosons, statistics interleaved as in a hand-written roster
+VERIFY_MIXED = {
+    "roster": [
+        {"statistics": "fermion", "mass": 1},
+        {"statistics": "boson"},
+        {"statistics": "fermion", "mass": 1},
+        {"statistics": "boson"},
+    ],
+    "cutoff_s": 2,
+}
+
+
+def test_verify_leaves_numpy_random_out(tmp_path):
+    path = write_scenario(tmp_path, VERIFY_MIXED)
+    check = (
+        "import contextlib, io, sys, toyqft.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = toyqft.cli.main(['verify', '--scenario', {path!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", check],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert result.stdout == "0 False\n"
+
+
+def test_verify_output_independent_of_seed(tmp_path, capsys, monkeypatch):
+    path = write_scenario(tmp_path, VERIFY_MIXED)
+    outputs = []
+    for seed in ("0", "1", "12345"):
+        monkeypatch.setenv(cli.SEED_ENV, seed)
+        outputs.append(run(capsys, ["verify", "--scenario", path]))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_scatter_strong_coupling_matches_dense_column(tmp_path, capsys):

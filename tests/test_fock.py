@@ -11,6 +11,7 @@ from toyqft import (
     OccupationState,
     ParticleMode,
     Statistics,
+    build_roster,
     build_space,
     canonicalize,
 )
@@ -261,6 +262,11 @@ def reference_occupations(modes, s):
 )
 @example(roster=[("F", 1), ("B", 0), ("F", 2), ("F", 1), ("B", 0)], s=3)
 @example(roster=[("F", 1), ("B", 0), ("F", 2), ("F", 1), ("B", 0)], s=5)
+@example(roster=[("B", 0), ("F", 1), ("B", 0), ("F", 1)], s=4)
+@example(roster=[("F", 1), ("B", 0), ("B", 0), ("F", 1)], s=4)
+@example(roster=[("B", 0)] * 3 + [("F", 0)] * 3, s=4)
+@example(roster=[], s=1)
+@example(roster=[], s=4)
 def test_occupations_match_brute_force_order(roster, s):
     stats = {"F": Statistics.FERMION, "B": Statistics.BOSON}
     modes = [ParticleMode(i, f"m{i}", stats[t], m) for i, (t, m) in enumerate(roster)]
@@ -268,6 +274,18 @@ def test_occupations_match_brute_force_order(roster, s):
     assert np.array_equal(space.occupations, reference_occupations(modes, s))
     assert space.occupations.dtype == np.int64
     assert np.array_equal(space.find_rows(space.occupations), np.arange(space.dimension))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "statistics",
+    [(Statistics.BOSON, Statistics.FERMION), (Statistics.FERMION, Statistics.BOSON)],
+    ids=["boson-first", "fermion-first"],
+)
+def test_two_block_roster_matches_brute_force_order(statistics, s):
+    modes = build_roster(2, 1, 2, *statistics)
+    space = build_space(modes, s)
+    assert np.array_equal(space.occupations, reference_occupations(modes, s))
 
 
 def test_find_rows_misses():

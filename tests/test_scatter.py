@@ -159,6 +159,62 @@ def test_hamiltonian_averages_slice_densities(stats, masses, r, x0, extra_mode):
     assert np.array_equal(h.mat, tau.mat * (d @ d.conj().T / len(points)))
 
 
+# (r, s) with every statistics' space at most dim 2,000: not r=3, s=3
+BLOCK_CASES = [
+    (stats, r, s, x0)
+    for stats in ("BB", "FB", "BF")
+    for r in (1, 2, 3)
+    for s in (2, 3)
+    for x0 in (0, 1, 2)
+    if (r, s) != (3, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "stats, r, s, x0",
+    BLOCK_CASES,
+    ids=[f"{st}-r{r}-s{s}-x{x0}" for st, r, s, x0 in BLOCK_CASES],
+)
+def test_hamiltonian_block_is_full_h_on_kets(stats, r, s, x0):
+    space = build_space(build_roster(1, 1, r, *STATS[stats]), s)
+    assert space.dimension <= 2000
+    full = hamiltonian(space, x0, r, 1, 1)
+    parity = space.occupations.sum(1) % 2
+    sizes = []
+    for inside in (parity == 0, parity == 1, np.arange(space.dimension) % 3 == 0):
+        block = hamiltonian(space, x0, r, 1, 1, np.flatnonzero(inside))
+        keep = inside[full.rows] & inside[full.cols]
+        assert np.array_equal(block.rows, full.rows[keep])
+        assert np.array_equal(block.cols, full.cols[keep])
+        assert block.data.tobytes() == full.data[keep].tobytes()
+        sizes.append(len(block.data))
+    # H keeps (-1)^N: the two parity blocks hold every entry
+    assert sizes[0] + sizes[1] == len(full.data)
+
+
+DENSITY_CASES = [(st, r, x0) for st in ("BB", "FB") for r in (1, 2, 3) for x0 in (0, 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "stats, r, x0", DENSITY_CASES, ids=[f"{st}-r{r}-x{x0}" for st, r, x0 in DENSITY_CASES]
+)
+def test_hamiltonian_is_density_times_slice_mask(stats, r, x0):
+    """The default call, entry for entry and bit for bit: tau(0) from
+    interaction_field times the slice average of d_k[m] conj(d_k[n])."""
+    space = build_space(build_roster(1, 1, r, *STATS[stats]), 2)
+    tau = hamiltonian_density(space, LatticePoint(0), r, 1, 1)
+    points = space_slice(x0)
+    momenta, _ = _momentum_table(space)
+    d = np.array([[phase(p, x) for p in momenta.tolist()] for x in points]).conj()
+    mask = sum(dk[tau.rows] * dk[tau.cols].conj() for dk in d) / len(points)
+    data = tau.data * mask
+    keep = data != 0
+    h = hamiltonian(space, x0, r, 1, 1)
+    assert np.array_equal(h.rows, tau.rows[keep])
+    assert np.array_equal(h.cols, tau.cols[keep])
+    assert h.data.tobytes() == data[keep].tobytes()
+
+
 def test_hamiltonian_rejects_empty_mass_block():
     space = boson_space()
     with pytest.raises(EmptyRoster, match="mass-1 hyperboloid empty for r=0"):

@@ -3,7 +3,7 @@ import pytest
 
 from toyqft import eigh, free_field, projectors, reconstruct, unitary_exp
 from toyqft.errors import NotHermitian
-from toyqft.spectral import apply_unitary_exp
+from toyqft.spectral import BESSEL_TOL, _bessel_orders, apply_unitary_exp
 
 from conftest import generic_coeffs, k_space
 
@@ -168,3 +168,26 @@ def test_exp_action_matches_spectral_exp(rng, coupling):
     v = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
     expected = unitary_exp(eigh(coupling * h)) @ v
     assert np.max(np.abs(apply_unitary_exp(h, v, coupling) - expected)) <= 1e-12
+
+
+def reference_bessel_orders(z):
+    """Miller's recurrence on a numpy array, the reference for the
+    Python-float loop."""
+    top = int(z + 20 * z ** (1 / 3)) + 40
+    j = np.zeros(top + 2)
+    j[top] = 1.0
+    for k in range(top, 0, -1):
+        j[k - 1] = 2 * k / z * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1:] *= 1e-250
+    j /= j[0] + 2 * j[2::2].sum()
+    orders = np.arange(len(j))
+    return j[: np.flatnonzero((orders > z) & (np.abs(j) < BESSEL_TOL))[0]]
+
+
+@pytest.mark.parametrize("z", [1e-3, 0.5, 2.4, 7.05, 30.0, 300.0, 3000.0, 9999.0])
+def test_bessel_orders_match_array_recurrence(z):
+    j = _bessel_orders(z)
+    assert j.tobytes() == reference_bessel_orders(z).tobytes()
+    # Neumann's identity J_0^2 + 2 (J_1^2 + J_2^2 + ...) = 1
+    assert 2 * np.sum(j[1:] ** 2) + j[0] ** 2 == pytest.approx(1.0, abs=1e-12)
