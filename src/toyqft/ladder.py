@@ -52,16 +52,7 @@ class OperatorMatrix:
         """Operator of the (keys, data) entries of every part, in any order,
         key row * dim + col: repeated positions are summed in the order
         given, then zeros are dropped."""
-        keys, data = map(np.concatenate, zip(*parts))
-        order = keys.argsort(kind="stable")
-        keys, data = keys[order], data[order]
-        first = np.empty(len(keys), dtype=bool)
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        if not first.all():
-            starts = first.nonzero()[0]
-            data = np.add.reduceat(data, starts)
-            keys = keys[starts]
+        keys, data = _merge_terms(*map(np.concatenate, zip(*parts)))
         rows, cols = np.divmod(keys, space.dimension)
         return cls._sorted(space, rows, cols, data)
 
@@ -86,11 +77,7 @@ class OperatorMatrix:
         if other.space is not self.space:
             raise SpaceMismatch("operators act on different spaces")
         n = self.space.dimension
-        ptr = other.rows.searchsorted(np.arange(n + 1))
-        start = ptr[self.cols]
-        count = ptr[self.cols + 1] - start
-        # index into other's entries of each product term
-        pick = np.arange(count.sum()) + (start - (count.cumsum() - count)).repeat(count)
+        count, pick = _row_join(self.cols, other.rows, n)
         return (
             (self.rows * n).repeat(count) + other.cols[pick],
             self.data.repeat(count) * other.data[pick],
@@ -120,11 +107,32 @@ class OperatorMatrix:
         return float(sums.max(initial=0.0))
 
 
-def identity(space):
-    diagonal = np.arange(space.dimension)
-    return OperatorMatrix._sorted(
-        space, diagonal, diagonal, np.ones(space.dimension, dtype=complex)
-    )
+def _merge_terms(keys, data):
+    """(keys, data) with repeated keys summed in the order given, keys
+    ascending.  One stable sort, then one reduceat over the runs of equal
+    keys, so a position's sum depends only on its terms and their order."""
+    order = keys.argsort(kind="stable")
+    keys, data = keys[order], data[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if not first.all():
+        starts = first.nonzero()[0]
+        data = np.add.reduceat(data, starts)
+        keys = keys[starts]
+    return keys, data
+
+
+def _row_join(cols, rows, n):
+    """(count, pick): the row join of entries in columns `cols` with
+    entries in ascending rows `rows`, n the dimension.  Entry e meets the
+    count[e] entries whose row is cols[e], in their order; pick lists
+    them, entry by entry."""
+    ptr = rows.searchsorted(np.arange(n + 1))
+    start = ptr[cols]
+    count = ptr[cols + 1] - start
+    pick = np.arange(count.sum()) + (start - (count.cumsum() - count)).repeat(count)
+    return count, pick
 
 
 def zero(space):
@@ -215,11 +223,3 @@ def ac_operator(space, mode_id, alpha):
     return OperatorMatrix._summed(
         space, (a.rows * n + a.cols, data), (a.cols * n + a.rows, data.conj())
     )
-
-
-def number_operator(space, mode_id):
-    """Diagonal occupation-number matrix for one mode."""
-    space.mode(mode_id)
-    counts = space.occupations[:, mode_id]
-    diagonal = np.arange(space.dimension)
-    return OperatorMatrix._sorted(space, diagonal, diagonal, counts.astype(complex))

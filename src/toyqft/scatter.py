@@ -8,6 +8,7 @@ origin masked entry-wise by the slice average of the phase by which a
 translation rephases each pair of basis kets (see `hamiltonian`).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,26 +107,41 @@ def _entries(op, keep):
     return OperatorMatrix._sorted(op.space, op.rows[keep], op.cols[keep], op.data[keep])
 
 
+# M_mn depends only on d = P_n - P_m mod 4, per component: its class,
+# coded as four 3-bit fields.  The guard bit of each field keeps the
+# difference of two codes from borrowing across fields.
+_FIELD_BITS = (0, 3, 6, 9)
+_FIELD_GUARD, _FIELD_MASK = 0o4444, 0o3333
+
+
+@functools.cache
+def _classes():
+    """(d, codes): column k of d is the k-th of the 256 classes, codes[k]
+    its code.  Built on first use, so importing does no array work."""
+    d = np.arange(256) >> np.arange(0, 8, 2)[:, None] & 3
+    codes = (d << np.array(_FIELD_BITS)[:, None]).sum(0)
+    d.flags.writeable = codes.flags.writeable = False  # shared by every call
+    return d, codes
+
+
 def _slice_mask(space, x0, rows, cols):
     """M at the entries (rows, cols): with c_k the number of slice points
-    x where (P_n - P_m).x = k mod 4, M_mn = ((c_0 - c_2) + i(c_1 - c_3)) / |slice|."""
+    x where (P_n - P_m).x = k mod 4, M_mn = ((c_0 - c_2) + i(c_1 - c_3)) / |slice|,
+    read from a table over the 256 classes of P_n - P_m mod 4."""
     points = space_slice(x0)
-    momenta, _ = _momentum_table(space)
-    # row k of g is slice point k as (x0, -x), so g @ P.T holds P.x
+    classes, codes = _classes()
+    # row k of g is slice point k as (x0, -x), so g @ d holds d.x, and & 3
+    # takes it mod 4; class k's quarter-turn counts land at 4k ... 4k + 3
     g = np.array([x.as_tuple() for x in points]) * (1, -1, -1, -1)
-    turns = ((g @ momenta.T) % 4).astype(np.int8)
-    real = np.zeros(len(rows), dtype=np.int32)
-    imag = np.zeros(len(rows), dtype=np.int32)
-    for t in turns:  # one slice point at a time, quarter turns per entry
-        k = (t[cols] - t[rows]) & 3
-        real += k == 0
-        real -= k == 2
-        imag += k == 1
-        imag -= k == 3
-    mask = np.empty(len(rows), dtype=complex)
-    mask.real, mask.imag = real, imag
-    mask /= len(points)
-    return mask
+    turns = (g @ classes & 3) + 4 * np.arange(256)
+    counts = np.bincount(turns.ravel(), minlength=1024).reshape(256, 4)
+    table = np.zeros(_FIELD_MASK + 1, dtype=complex)
+    table.real[codes] = counts[:, 0] - counts[:, 2]
+    table.imag[codes] = counts[:, 1] - counts[:, 3]
+    table /= len(points)
+    momenta, _ = _momentum_table(space)
+    code = ((momenta & 3) << _FIELD_BITS).sum(1)
+    return table[((code[cols] | _FIELD_GUARD) - code[rows]) & _FIELD_MASK]
 
 
 def scattering_operator(h, coupling=1.0):

@@ -75,18 +75,14 @@ def eigh(h, group_tol=DEFAULT_GROUP_TOL):
 
     w, v = np.linalg.eigh(mat)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    gap = group_tol * scale
-
-    groups = []
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or w[k] - w[k - 1] > gap:
-            block = _canonical_phase(v[:, start:k])
-            groups.append(
-                EigenGroup(float(np.mean(w[start:k])), k - start, block)
-            )
-            start = k
-    return SpectralDecomposition(tuple(groups), mat.shape[0])
+    # the phase acts column by column, so one call serves every group
+    v = _canonical_phase(v)
+    bounds = [0, *(np.flatnonzero(np.diff(w) > group_tol * scale) + 1).tolist(), len(w)]
+    groups = tuple(
+        EigenGroup(float(np.mean(w[start:k])), k - start, v[:, start:k])
+        for start, k in zip(bounds, bounds[1:])
+    )
+    return SpectralDecomposition(groups, mat.shape[0])
 
 
 def projectors(decomp):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from toyqft import ParticleMode, Statistics, build_space, canonicalize
+from toyqft.ladder import OperatorMatrix
 
 
 def fermion_modes(n, mass=0):
@@ -36,6 +37,21 @@ def ket(space, *raw):
     exchange sign is dropped."""
     state, _ = canonicalize(space, raw)
     return space.index_of(state)
+
+
+def identity(space):
+    diagonal = np.arange(space.dimension)
+    return OperatorMatrix._sorted(
+        space, diagonal, diagonal, np.ones(space.dimension, dtype=complex)
+    )
+
+
+def number_operator(space, mode_id):
+    """Diagonal occupation-number matrix for one mode."""
+    space.mode(mode_id)
+    counts = space.occupations[:, mode_id]
+    diagonal = np.arange(space.dimension)
+    return OperatorMatrix._sorted(space, diagonal, diagonal, counts.astype(complex))
 
 
 def generic_coeffs(rng, count):

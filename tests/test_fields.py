@@ -11,9 +11,9 @@ from toyqft import (
     self_interaction,
 )
 from toyqft.errors import DuplicateTerm, NotAForm, SpaceMismatch, UnknownMode
-from toyqft.ladder import identity, zero
+from toyqft.ladder import zero
 
-from conftest import generic_coeffs, j_space, k_space, ket, l_space
+from conftest import generic_coeffs, identity, j_space, k_space, ket, l_space
 
 
 def vector_from_kets(space, components):

@@ -17,17 +17,19 @@ from toyqft import (
     canonicalize,
 )
 from toyqft.errors import NotInBasis, SpaceMismatch, UnknownMode
-from toyqft.ladder import OperatorMatrix, identity, number_operator
+from toyqft.ladder import OperatorMatrix
 from toyqft.spectral import _Sector
 
 from conftest import (
     boson_modes,
     fermion_modes,
     generic_coeffs,
+    identity,
     j_space,
     k_space,
     ket,
     l_space,
+    number_operator,
 )
 
 F, B = Statistics.FERMION, Statistics.BOSON

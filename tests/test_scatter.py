@@ -22,7 +22,7 @@ from toyqft import (
 )
 from toyqft.errors import EmptyRoster
 from toyqft.ladder import OperatorMatrix
-from toyqft.scatter import _momentum_table
+from toyqft.scatter import _momentum_table, _slice_mask
 from toyqft.spacetime import phase, space_slice
 from toyqft.spectral import _Sector, apply_unitary_exp
 
@@ -213,6 +213,42 @@ def test_hamiltonian_is_density_times_slice_mask(stats, r, x0):
     assert np.array_equal(h.rows, tau.rows[keep])
     assert np.array_equal(h.cols, tau.cols[keep])
     assert h.data.tobytes() == data[keep].tobytes()
+
+
+def _slice_mask_by_point(space, x0, rows, cols):
+    """The slice mask counted one slice point at a time: per entry, the
+    quarter turns (P_n - P_m).x mod 4 of each point."""
+    points = space_slice(x0)
+    momenta, _ = _momentum_table(space)
+    g = np.array([x.as_tuple() for x in points]) * (1, -1, -1, -1)
+    real = np.zeros(len(rows), dtype=np.int32)
+    imag = np.zeros(len(rows), dtype=np.int32)
+    for t in ((g @ momenta.T) % 4).astype(np.int8):
+        k = (t[cols] - t[rows]) & 3
+        real += k == 0
+        real -= k == 2
+        imag += k == 1
+        imag -= k == 3
+    mask = np.empty(len(rows), dtype=complex)
+    mask.real, mask.imag = real, imag
+    mask /= len(points)
+    return mask
+
+
+@pytest.mark.parametrize("stats", ["BB", "FB"])
+@pytest.mark.parametrize("x0", [0, 1, 2, 3])
+def test_slice_mask_by_class_matches_per_point_count(stats, x0):
+    """The 256-class table gives the per-point count bit for bit on any
+    entries, also where the mask is complex (odd x0: the slice is
+    symmetric under x -> -x, so only x0 (P_n - P_m)_0 can give quarter
+    turns); swapping rows and columns conjugates it."""
+    space = build_space(build_roster(1, 1, 2, *STATS[stats]), 2)
+    rng = np.random.default_rng(x0)
+    rows, cols = rng.integers(0, space.dimension, size=(2, 4000))
+    mask = _slice_mask(space, x0, rows, cols)
+    assert mask.tobytes() == _slice_mask_by_point(space, x0, rows, cols).tobytes()
+    assert np.array_equal(_slice_mask(space, x0, cols, rows), mask.conj())
+    assert (np.count_nonzero(mask.imag) > 0) == (x0 % 2 == 1)
 
 
 def test_hamiltonian_rejects_empty_mass_block():

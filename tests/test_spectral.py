@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from toyqft import eigh, free_field, projectors, reconstruct, unitary_exp
+from toyqft import eigh, free_field, projectors, reconstruct, self_interaction, unitary_exp
 from toyqft.errors import NotHermitian
-from toyqft.spectral import BESSEL_TOL, _bessel_orders, apply_unitary_exp
+from toyqft.spectral import BESSEL_TOL, _bessel_orders, _canonical_phase, apply_unitary_exp
 
-from conftest import generic_coeffs, k_space
+from conftest import generic_coeffs, k_space, l_space
 
 
 def random_hermitian(rng, n):
@@ -61,6 +61,35 @@ def test_group_residuals(rng):
     for g in decomp.groups:
         res = h @ g.vectors - g.value * g.vectors
         assert np.max(np.abs(res)) <= 1e-9
+
+
+def _planted(rng, values):
+    """Hermitian matrix with the given eigenvalues, repeats included."""
+    shape = (len(values),) * 2
+    q, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    m = (q * np.array(values)) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+def test_group_vectors_match_phase_per_group(rng):
+    """Phasing every eigenvector at once gives each group's vectors bit
+    for bit as phasing that group's columns alone."""
+    space = l_space(2, 4, 3)
+    phi = free_field(space, [(1, 0.7 - 0.2j), (4, -1.1 + 0.4j)])
+    for h in (
+        self_interaction(phi).mat,
+        _planted(rng, [-1.5] * 3 + [0.25] * 4 + [0.0] + [2.0] * 2 + [3.5] * 5),
+    ):
+        decomp = eigh(h)
+        _, v = np.linalg.eigh(h)
+        assert max(decomp.multiplicities) >= 3
+        start = 0
+        for g in decomp.groups:
+            k = start + g.multiplicity
+            assert np.array_equal(g.vectors, _canonical_phase(v[:, start:k]))
+            assert g.vectors.tobytes() == _canonical_phase(v[:, start:k]).tobytes()
+            start = k
+        assert start == len(v)
 
 
 def test_canonical_phase(rng):
