@@ -103,7 +103,8 @@ class FockSpace:
     The read-only count table occupations[ket, mode] is the basis.  Order:
     total particle count ascending, then lexicographic on the canonical
     encoding (fermion block first); ket 0 is the vacuum.  OccupationState
-    objects are made only at the edges.  Immutable after construction.
+    objects are made only at the edges.  Immutable after construction
+    but for `_annihilators`, each mode's annihilator entries once built.
     """
 
     modes: tuple
@@ -111,6 +112,8 @@ class FockSpace:
     occupations: np.ndarray = field(compare=False, repr=False)
     # sorted row keys and the ket of each, built once for every row search
     _lookup: tuple = field(init=False, compare=False, repr=False)
+    # (rows, cols, data) arrays: an operator would refer back to the space
+    _annihilators: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         keys = _row_keys(self.occupations)
@@ -221,11 +224,7 @@ def build_space(modes, cutoff_s):
 
 def _permutation_sign(seq):
     """Parity of the permutation sorting seq ascending (distinct entries)."""
-    inversions = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inversions += 1
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
     return -1 if inversions % 2 else 1
 
 

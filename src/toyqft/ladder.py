@@ -3,11 +3,11 @@
 Every operator is a complex matrix on a FockSpace, stored as its nonzero
 entries; `mat` is the dense view.
 
-a and a* are one construction: shift one column of the space's
-occupation array by -1 or +1 and look each shifted row up among the
-kets.  Fermion sign rule: kets are stored with fermion ids ascending,
-and the sign of removing (or inserting) mode j is (-1)^k where k is the
-number of occupied fermions of j's `fermion_family` preceding j in that
+a is built once per space: lower one column of the occupation array by
+one and look the lowered rows up among the kets; a* is its transpose.
+Fermion sign rule: kets are stored with fermion ids ascending, and the
+sign of removing (or inserting) mode j is (-1)^k where k is the number
+of occupied fermions of j's `fermion_family` preceding j in that
 canonical order.  Fermions of distinct families commute, matching the
 symmetric interchange of distinguishable particles in mixed spaces.
 """
@@ -140,22 +140,26 @@ def zero(space):
     return OperatorMatrix._sorted(space, empty, empty, np.zeros(0, dtype=complex))
 
 
-def _ladder(space, mode_id, step):
-    """Matrix that moves each ket's count of one mode by step (-1 or +1).
+def annihilator(space, mode_id):
+    """Matrix of a(mode): removes one particle of the given mode.
 
-    Column c gets (-1)^k sqrt(max(n_before, n_after)) at the ket whose
-    occupations are column c's shifted by step, where k counts the
-    occupied same-family fermions ahead of a fermion mode.  A shifted row
-    that is no ket (empty mode, doubled fermion, count past the cutoff)
-    gives no entry.
+    Its entries are built once per space and kept there as read-only
+    arrays, which every later call wraps.  Column c gets (-1)^k sqrt(n)
+    at the ket whose occupations are column c's with mode j's count n
+    lowered by one, where k counts the occupied same-family fermions
+    ahead of a fermion mode.  A lowered row that is no ket (an empty
+    mode) gives no entry.
     """
+    kept = space._annihilators.get(mode_id)
+    if kept is not None:
+        return OperatorMatrix._sorted(space, *kept)
     mode = space.mode(mode_id)
     occ = space.occupations
-    shifted = occ.copy()
-    shifted[:, mode_id] += step
-    rows = space.find_rows(shifted)
+    lowered = occ.copy()
+    lowered[:, mode_id] -= 1
+    rows = space.find_rows(lowered)
     cols = np.flatnonzero(rows >= 0)
-    values = np.sqrt(np.maximum(occ[cols, mode_id], shifted[cols, mode_id]))
+    values = np.sqrt(occ[cols, mode_id])
     if mode.statistics is Statistics.FERMION:
         family = fermion_family(mode)
         ahead = [
@@ -166,28 +170,24 @@ def _ladder(space, mode_id, step):
         values = np.where(occ[cols][:, ahead].sum(1) % 2, -values, values)
     rows = rows[cols]
     order = np.argsort(rows)  # distinct columns land on distinct rows
-    return OperatorMatrix._sorted(
-        space, rows[order], cols[order], values[order].astype(complex)
-    )
-
-
-def annihilator(space, mode_id):
-    """Matrix of a(mode): removes one particle of the given mode.
-
-    Fermion columns carry the canonical-order sign; boson columns carry
-    the sqrt(k) factor where k is the occupation before removal.
-    """
-    return _ladder(space, mode_id, -1)
+    kept = rows[order], cols[order], values[order].astype(complex)
+    for array in kept:
+        array.flags.writeable = False  # shared by every call on this space
+    space._annihilators[mode_id] = kept
+    return OperatorMatrix._sorted(space, *kept)
 
 
 def creator(space, mode_id):
     """Matrix of a(mode)*: adds one particle of the given mode.
 
-    Agreement with the adjoint of annihilator is a tested identity.  Any
+    The annihilator's entries with rows and columns swapped, with no
+    lookup of its own: every entry is real, so that is the adjoint.  Any
     column at total count s maps to zero (cutoff boundary), as does
     fermion double occupation.
     """
-    return _ladder(space, mode_id, +1)
+    a = annihilator(space, mode_id)
+    order = np.argsort(a.cols)
+    return OperatorMatrix._sorted(space, a.cols[order], a.rows[order], a.data[order])
 
 
 def commutator(a, b):

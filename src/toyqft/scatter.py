@@ -17,7 +17,7 @@ from .errors import EmptyRoster
 from .fields import interaction_field
 from .fock import ParticleMode, Statistics
 from .ladder import OperatorMatrix
-from .spacetime import LatticePoint, field_at, hyperboloid, space_slice
+from .spacetime import LatticePoint, _slice_points, field_at, hyperboloid
 from .spectral import eigh, unitary_exp
 
 
@@ -128,11 +128,11 @@ def _slice_mask(space, x0, rows, cols):
     """M at the entries (rows, cols): with c_k the number of slice points
     x where (P_n - P_m).x = k mod 4, M_mn = ((c_0 - c_2) + i(c_1 - c_3)) / |slice|,
     read from a table over the 256 classes of P_n - P_m mod 4."""
-    points = space_slice(x0)
+    points = _slice_points(x0)
     classes, codes = _classes()
     # row k of g is slice point k as (x0, -x), so g @ d holds d.x, and & 3
     # takes it mod 4; class k's quarter-turn counts land at 4k ... 4k + 3
-    g = np.array([x.as_tuple() for x in points]) * (1, -1, -1, -1)
+    g = points * (1, -1, -1, -1)
     turns = (g @ classes & 3) + 4 * np.arange(256)
     counts = np.bincount(turns.ravel(), minlength=1024).reshape(256, 4)
     table = np.zeros(_FIELD_MASK + 1, dtype=complex)

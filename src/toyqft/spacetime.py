@@ -5,8 +5,12 @@ integers, and the plane-wave phase exp(i pi px / 2) is a fourth root of
 unity computed from px mod 4 with no floating-point trigonometry.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass
 from math import isqrt
+
+import numpy as np
 
 from .errors import DivisionByZeroEnergy, UnknownMode
 from .fields import free_field
@@ -93,20 +97,26 @@ def hyperboloid(m, r):
 
 def space_volume(x0):
     """Number of integer spatial points within Euclidean distance x0."""
-    return len(space_slice(x0))
+    return len(_slice_points(x0))
+
+
+@functools.cache
+def _slice_points(x0):
+    """The slice {|x| <= x0} at time x0 as integer rows (x0, x1, x2, x3),
+    x1 slowest and x3 fastest; read-only, built once per x0."""
+    if x0 < 0:
+        raise ValueError("time coordinate must be nonnegative")
+    axis = range(-x0, x0 + 1)
+    x = np.array(list(itertools.product(axis, repeat=3)), dtype=np.int64)
+    x = x[(x * x).sum(1) <= x0 * x0]
+    points = np.column_stack([np.full(len(x), x0, dtype=np.int64), x])
+    points.flags.writeable = False  # shared by every call
+    return points
 
 
 def space_slice(x0):
     """Lattice points (x0, x) with |x| <= x0, in deterministic order."""
-    if x0 < 0:
-        raise ValueError("time coordinate must be nonnegative")
-    points = []
-    for x1 in range(-x0, x0 + 1):
-        for x2 in range(-x0, x0 + 1):
-            for x3 in range(-x0, x0 + 1):
-                if x1 * x1 + x2 * x2 + x3 * x3 <= x0 * x0:
-                    points.append(LatticePoint(x0, (x1, x2, x3)))
-    return points
+    return [LatticePoint(x0, tuple(x)) for x in _slice_points(x0)[:, 1:].tolist()]
 
 
 def field_at(space, x, r, m, mode_ids):

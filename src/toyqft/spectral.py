@@ -134,7 +134,7 @@ def _bessel_orders(z):
     return j[: np.flatnonzero((orders > z) & (np.abs(j) < BESSEL_TOL))[0]]
 
 
-# power steps on |H| after w = 1 in the Collatz–Wielandt bound
+# power steps on |H| and on |H| + I after w = 1 in the Collatz–Wielandt bound
 _POWER_STEPS = 3
 
 
@@ -178,20 +178,25 @@ class _Sector:
         return out
 
     def bound(self):
-        """Collatz–Wielandt bound min_t max_j (|H| w_t)_j / (w_t)_j over
-        w_0 = 1 and _POWER_STEPS power steps w_{t+1} = |H| w_t, at least
-        the spectral radius (rho(H) <= rho(|H|) <= that max for any
-        w > 0); step 0 is the largest row sum of |entries|.  Kets with no
-        entry are left out of the ratio; 0 when H has none."""
+        """Collatz–Wielandt bound min_w max_j (|H| w)_j / w_j over w = 1
+        and _POWER_STEPS power steps from it, both on |H| and on |H| + I:
+        at least the spectral radius (rho(H) <= rho(|H|) <= that max for
+        any w > 0); w = 1 gives the largest row sum of |entries|.  Steps
+        on |H| alone stall when |H| is periodic, with eigenvalues rho and
+        -rho; |H| + I has the same Perron vector and no other eigenvalue
+        of its size.  Kets with no entry are left out of the ratio; 0
+        when H has none."""
         if not len(self.data):
             return 0.0
         size = np.abs(self.data)
-        w = np.ones(len(self.kets))
         bound = np.inf
-        for _ in range(_POWER_STEPS + 1):
-            step = self.product(size, w)
-            bound = min(bound, float(np.max(step[self.filled] / w[self.filled])))
-            w = step / step.max()
+        for shift in (0, 1):  # the steps on |H|, then on |H| + I
+            w = np.ones(len(self.kets))
+            for _ in range(_POWER_STEPS + 1):
+                step = self.product(size, w)
+                bound = min(bound, float(np.max(step[self.filled] / w[self.filled])))
+                w = step + shift * w
+                w /= w.max()
         return bound
 
 

@@ -496,7 +496,10 @@ def test_exp_action_of_both_parities_matches_dense(coupling):
 def test_exp_bound_between_spectral_radius_and_one_norm(m1, m2, r, s, x0, stats):
     """On the in-state's kets and on all kets, the Collatz–Wielandt bound
     is at least the spectral radius of H there and at most ||H||_1 (up
-    to rounding)."""
+    to rounding).  At r=1, |H| on the in-state's kets is periodic, and
+    power steps on |H| alone stay at the largest row sum 1 + sqrt(2) at
+    s=2 (1 + 2 sqrt(2) at s=3); the steps on |H| + I come within 2% and 4%
+    of rho = sqrt(2) and sqrt(5)."""
     space = build_space(build_roster(m1, m2, r, *STATS[stats]), s)
     h = hamiltonian(space, x0, r, m1, m2)
     dense = h.mat
@@ -505,6 +508,9 @@ def test_exp_bound_between_spectral_radius_and_one_norm(m1, m2, r, s, x0, stats)
         radius = np.abs(np.linalg.eigvalsh(dense[np.ix_(sector.kets, sector.kets)])).max()
         assert radius <= sector.bound() * (1 + 1e-12)
         assert sector.bound() <= h.one_norm() * (1 + 1e-12)
+    if r == 1:
+        in_sector = _Sector(h, block_in_state(space, m1, r))
+        assert in_sector.bound() < {2: 1.5, 3: 2.4}[s]
 
 
 def test_readme_example_runs():

@@ -1,18 +1,30 @@
-"""verify's batched bracket computation against the per-pair reference.
+"""verify's batched bracket computation against the per-pair reference,
+and the ladders it is built from.
 
 `reference_algebra_checks` is the per-pair loop verify ran before its
 rows came from one batch: every bracket is formed with `commutator` or
 `anticommutator`, and the number and boundary rules subtract the identity
 and add the number operator.  The batch must return the same dict: the
 same rows, in the same order, with the same floats.
+
+Each mode's annihilator is built by one row lookup, once per space, and
+a* is its transpose: `raised_creator` is the lookup of raised rows that a*
+was built by before, the oracle for that transpose.
 """
 
 import contextlib
+import gc
+import io
+import json
 import random
+import tempfile
 import tracemalloc
+import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +37,8 @@ from toyqft import (
     cli,
     commutator,
 )
-from toyqft.fock import fermion_family
-from toyqft.ladder import OperatorMatrix
+from toyqft.fock import FockSpace, fermion_family
+from toyqft.ladder import OperatorMatrix, annihilator, creator
 
 from conftest import identity, number_operator
 
@@ -158,3 +170,120 @@ def test_verify_peak_traced_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@contextlib.contextmanager
+def counted_lookups():
+    """The row counts of every `FockSpace.find_rows` call made inside."""
+    calls, real = [], FockSpace.find_rows
+
+    def find_rows(space, rows):
+        calls.append(len(rows))
+        return real(space, rows)
+
+    with mock.patch.object(FockSpace, "find_rows", find_rows):
+        yield calls
+
+
+def run_cli(argv, scenario):
+    """stdout of `toyqft <argv> --scenario <file holding scenario>`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main([*argv, "--scenario", str(path)])
+    return out.getvalue()
+
+
+def raised_creator(space, mode_id):
+    """(rows, cols, data) of a* by its own lookup: each ket's row with the
+    mode's count raised by one, found among the kets, with sqrt of the
+    raised count and the sign of the same-family fermions ahead."""
+    mode = space.mode(mode_id)
+    occ = space.occupations
+    raised = occ.copy()
+    raised[:, mode_id] += 1
+    rows = space.find_rows(raised)
+    cols = np.flatnonzero(rows >= 0)
+    values = np.sqrt(raised[cols, mode_id])
+    if space.is_fermion(mode_id):
+        ahead = [
+            m.id for m in space.modes[:mode_id]
+            if space.is_fermion(m.id) and fermion_family(m) == fermion_family(mode)
+        ]
+        values = np.where(occ[cols][:, ahead].sum(1) % 2, -values, values)
+    rows = rows[cols]
+    order = np.argsort(rows)
+    return rows[order], cols[order], values[order].astype(complex)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(roster=MODES, s=st.integers(1, 4))
+def test_verify_looks_up_rows_once_per_mode(roster, s):
+    """A verify run builds each mode's annihilator by one lookup over
+    every ket, and its creator by none."""
+    scenario = {
+        "roster": [{"statistics": stats.value, "mass": mass} for stats, mass in roster],
+        "cutoff_s": s,
+    }
+    with counted_lookups() as calls:
+        out = run_cli(["verify"], scenario)
+    assert calls == [_space(roster, s).dimension] * len(roster)
+    assert json.loads(out)["kind"] == "verify"
+
+
+def test_scatter_looks_up_the_table_once_per_mode():
+    """scatter's fields build each mode's annihilator by one lookup over
+    every ket; its other lookups are of the in-state's one row."""
+    space = build_space(build_roster(1, 1, 2), 2)
+    scenario = {
+        "mass1": 1, "mass2": 1, "r": 2, "cutoff_s": 2, "x0": 1,
+        "in_state": {"modes": [[0, 1], [9, 1]]},
+    }
+    with counted_lookups() as calls:
+        run_cli(["scatter"], scenario)
+    assert calls.count(space.dimension) == len(space.modes)
+    assert set(calls) == {space.dimension, 1}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(roster=MODES, s=st.integers(1, 4))
+def test_annihilator_built_once_and_creator_is_its_transpose(roster, s):
+    """A second annihilator call wraps the same read-only arrays with no
+    lookup; creator makes none either and holds the annihilator's
+    entries with rows and columns swapped, bit for bit, which are the
+    entries of the raised-row lookup."""
+    space = _space(roster, s)
+    for mode in space.modes:
+        a = annihilator(space, mode.id)
+        with counted_lookups() as calls:
+            again = annihilator(space, mode.id)
+            c = creator(space, mode.id)
+        assert calls == []
+        for array, same in zip((a.rows, a.cols, a.data), (again.rows, again.cols, again.data)):
+            assert same is array
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+        by_col = np.argsort(a.cols)
+        swapped = a.cols[by_col], a.rows[by_col], a.data[by_col]
+        for got, want, ref in zip((c.rows, c.cols, c.data), swapped, raised_creator(space, mode.id)):
+            assert got.tobytes() == want.tobytes() == ref.tobytes()
+
+
+def test_space_with_built_ladders_is_freed_without_the_cycle_collector():
+    """The space keeps its annihilators' arrays, not operators that refer
+    back to it, so dropping the last reference frees it at once."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        space = build_space(build_roster(1, 1, 1), 2)
+        for mode in space.modes:
+            creator(space, mode.id)
+        freed = weakref.ref(space)
+        del space
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
