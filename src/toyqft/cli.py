@@ -20,14 +20,8 @@ import numpy as np
 from . import __version__
 from .errors import NotInBasis, ScenarioError, ToyQFTError, UnknownMode
 from .fields import free_field, interaction_field, self_interaction
-from .fock import (
-    OccupationState,
-    ParticleMode,
-    Statistics,
-    build_space,
-    fermion_family,
-)
-from .ladder import _merge_terms, _row_join, annihilator, creator
+from .fock import OccupationState, ParticleMode, Statistics, build_space
+from .ladder import algebra_violations, annihilator, creator
 from .scatter import build_roster, hamiltonian, probability_table
 from .spacetime import hyperboloid, space_volume
 from .spectral import apply_unitary_exp, eigh
@@ -166,10 +160,9 @@ def _parse_state(space, raw, field_name):
     except ValueError as exc:  # a mode listed twice
         raise ScenarioError(field_name, str(exc)) from None
     try:
-        space.index_of(state)
+        return state, space.index_of(state)
     except NotInBasis:
         raise ScenarioError(field_name, "state outside the basis") from None
-    return state
 
 
 def _state_label(space, state):
@@ -228,154 +221,15 @@ def _run_dims(scenario, fmt):
     return 0
 
 
-# verify's exchange-rule rows per statistics, in report order: exchange
-# relations, number relation, then (bosons only) the boundary rule
-_ROWS = {
-    Statistics.FERMION: (
-        "fermion exchange relations",
-        "fermion number relation (off boundary)",
-    ),
-    Statistics.BOSON: (
-        "boson commutators",
-        "boson CCR (off boundary)",
-        "boson boundary rule [a, a*] = -N",
-    ),
-}
-
-
 def _algebra_checks(space, rng):
     """{identity name: max violation} over the roster's algebra, in
-    report order.
-
-    Every row comes from one batch over the ladders stacked as X_0 ...
-    X_{2n-1} = a_0 ... a_{n-1}, a*_0 ... a*_{n-1} (`_verify_terms`): one
-    merge sums every operator a row checks, and each position sums the
-    same terms in the same order as the operator algebra in `ladder`, so
-    every maximum is bit for bit the one-operator-at-a-time value.  The
-    batch holds O(n^2 dim) terms at once.
-    """
+    report order (`ladder.algebra_violations`), with each mode's alpha
+    drawn from rng as two Gaussians."""
     modes = space.modes
-    present = {m.statistics for m in modes}
-    rows = ["creator = adjoint(annihilator)", "AC-operator Hermitian"]
-    rows += [row for st, names in _ROWS.items() if st in present for row in names]
-    n, dim = len(modes), space.dimension
-    if not n:
-        return dict.fromkeys(rows, 0.0)
     alpha = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in modes])
     ladders = [annihilator(space, m.id) for m in modes]
     ladders += [creator(space, m.id) for m in modes]
-
-    # Bracketed pairs of same-statistics modes i, j: (a_i, a_j), (a_i, a*_j)
-    # and, for bosons, (a*_i, a*_j).  Same-family fermions anticommute and
-    # every other pair commutes.
-    boson = np.array([m.statistics is Statistics.BOSON for m in modes])
-    family = np.array([fermion_family(m) for m in modes])
-    same = boson[:, None] == boson
-    used = np.zeros((2 * n, 2 * n), dtype=bool)
-    used[:n, :n] = used[:n, n:] = same
-    used[n:, n:] = same & boson[:, None]
-    stacked = np.arange(2 * n) % n  # the mode of each stacked ladder
-    same_family = same & ~boson[:, None] & (family[:, None] == family)
-    anti = same_family[stacked[:, None], stacked]
-    area = dim * dim
-    keys, data = _merge_terms(*_verify_terms(ladders, alpha, used, anti))
-
-    # eta_i - adjoint(eta_i) from eta_i's merged entries, the order in
-    # which `eta - eta.adjoint()` sums them
-    lo, hi = keys.searchsorted((n * area, 2 * n * area))
-    eta_keys, eta = keys[lo:hi], data[lo:hi]
-    slot, rest = np.divmod(eta_keys, area)
-    _, hermitian = _merge_terms(
-        np.concatenate([eta_keys, slot * area + rest % dim * dim + rest // dim]),
-        np.concatenate([eta, -eta.conj()]),
-    )
-
-    # [a_i, a*_i] - I below the cutoff and [a_i, a*_i] + N_i at it (two
-    # disjoint column sets of one bracket), added to the merged bracket as
-    # `mixed - eye` and `mixed + N` add them
-    occ = space.occupations
-    off = occ.sum(1) < space.cutoff_s
-    slots = 2 * n + np.arange(n) * (2 * n + 1) + n  # the brackets (a_i, a*_i)
-    diagonal = (slots * area)[:, None] + np.arange(dim) * (dim + 1)
-    keys, data = _merge_terms(
-        np.concatenate([keys, diagonal.ravel()]),
-        np.concatenate([data, np.where(off, -1, occ.T).ravel()]),
-    )
-
-    # the row each slot counts toward in columns below the cutoff and in
-    # columns at it, -1 for none (eta_i's slots: its row is checked above)
-    at = {row: k for k, row in enumerate(rows)}
-    exchange, number = (
-        np.array([at[_ROWS[m.statistics][k]] for m in modes]) for k in (0, 1)
-    )
-    pair_off = np.full((2 * n, 2 * n), -1, dtype=np.int8)
-    pair_off[:n, :n] = pair_off[n:, n:] = exchange[:, None]
-    pair_off[:n, n:] = number[:, None]
-    pair_cut = pair_off.copy()
-    pair_cut[:n, n:] = -1
-    bosons = np.flatnonzero(boson)
-    pair_cut[bosons, n + bosons] = at.get(_ROWS[Statistics.BOSON][2], -1)
-    slot_off, slot_cut = (
-        np.concatenate([np.zeros(n, np.int8), np.full(n, -1, np.int8), pairs.ravel()])
-        for pairs in (pair_off, pair_cut)
-    )
-    slot = keys // area
-    row = np.where(off[keys % dim], slot_off[slot], slot_cut[slot])
-    counted = row >= 0
-    worst = np.zeros(len(rows))
-    np.maximum.at(worst, row[counted], np.abs(data[counted]))
-    worst[1] = np.abs(hermitian).max(initial=0.0)
-    return dict(zip(rows, worst.tolist()))
-
-
-def _verify_terms(ladders, alpha, used, anti):
-    """(keys, data) of the terms of every operator verify checks, before
-    merging: key (slot * dim + row) * dim + col.
-
-    Slot i holds a*_i - adjoint(a_i), slot n + i holds eta_i = alpha_i a_i
-    + conj(alpha_i) a*_i, and slot 2n + 2n p + q the bracket of X_p and
-    X_q where used[p, q]: its X_p X_q terms, then its X_q X_p terms,
-    negated unless anti[p, q].  A position's terms come in the order
-    `operator_sum`, `commutator` and `anticommutator` give them.
-    """
-    n, dim = len(alpha), ladders[0].space.dimension
-    area, width = dim * dim, 2 * n
-    tag = np.arange(width).repeat([len(x.data) for x in ladders])
-    r, c, v = (
-        np.concatenate([getattr(x, f) for x in ladders]) for f in ("rows", "cols", "data")
-    )
-    mode = tag % n
-    split = np.count_nonzero(tag < n)  # first creator entry
-
-    # every product X_p X_q by one row join; in each (p, q, row, col) its
-    # terms come in ascending inner index, as in `_product_terms`
-    by_row = np.argsort(r, kind="stable")
-    count, pick = _row_join(c, r[by_row], dim)
-    pick = by_row[pick]
-    position = (r * dim).repeat(count) + c[pick]
-    product = v.repeat(count) * v[pick]
-    left, right = tag.repeat(count), tag[pick]
-    del pick  # the join's index arrays are O(n^2 dim): free them early
-    pair, swapped = left * width + right, right * width + left
-    del left, right
-    forward, backward = used.ravel()[pair], used.ravel()[swapped]
-    back = product[backward]
-    return (
-        np.concatenate([
-            (mode * area + r * dim + c)[split:],
-            (mode * area + c * dim + r)[:split],
-            (n + mode) * area + r * dim + c,
-            (width + pair[forward]) * area + position[forward],
-            (width + swapped[backward]) * area + position[backward],
-        ]),
-        np.concatenate([
-            v[split:],
-            -v[:split].conj(),
-            np.where(tag < n, alpha[mode], alpha[mode].conj()) * v,
-            product[forward],
-            np.where(anti.ravel()[swapped[backward]], back, -back),
-        ]),
-    )
+    return algebra_violations(space, ladders, alpha)
 
 
 def _run_verify(scenario, fmt, tol):
@@ -442,9 +296,10 @@ def _run_scatter(scenario, fmt, enforce, coupling):
         space = build_space(roster, cutoff)
     except ToyQFTError as exc:
         raise ScenarioError("scatter", str(exc)) from exc
-    in_state = _parse_state(space, _require(scenario, "in_state"), "in_state")
+    in_state, n_in = _parse_state(space, _require(scenario, "in_state"), "in_state")
     # each field moves one count by 1, so H keeps the in-state's (-1)^N
-    sector = np.flatnonzero(space.occupations.sum(1) % 2 == in_state.total % 2)
+    parity = space.occupations.sum(1) % 2
+    sector = np.flatnonzero(parity == parity[n_in])
     try:
         h = hamiltonian(space, x0, r, mass1, mass2, sector)
     except ToyQFTError as exc:
@@ -453,11 +308,11 @@ def _run_scatter(scenario, fmt, enforce, coupling):
     if scale > COUPLING_BOUND:
         raise ScenarioError("coupling", f"|g|·‖H‖₁ = {_sig12(scale)} exceeds 1e4")
     e_in = np.zeros(space.dimension, dtype=complex)
-    e_in[space.index_of(in_state)] = 1
+    e_in[n_in] = 1
     rows = probability_table(
         space,
         apply_unitary_exp(h, e_in, coupling),
-        in_state,
+        n_in,
         threshold,
         enforce_conservation=enforce,
     )

@@ -223,3 +223,147 @@ def ac_operator(space, mode_id, alpha):
     return OperatorMatrix._summed(
         space, (a.rows * n + a.cols, data), (a.cols * n + a.rows, data.conj())
     )
+
+
+# verify's exchange-rule rows per statistics, in report order: exchange
+# relations, number relation, then (bosons only) the boundary rule
+_ROWS = {
+    Statistics.FERMION: (
+        "fermion exchange relations",
+        "fermion number relation (off boundary)",
+    ),
+    Statistics.BOSON: (
+        "boson commutators",
+        "boson CCR (off boundary)",
+        "boson boundary rule [a, a*] = -N",
+    ),
+}
+
+
+def algebra_violations(space, ladders, alpha):
+    """{identity name: max violation} of `toyqft verify`'s identities, in
+    report order, from the space's ladders X_0 ... X_{2n-1} = a_0 ...
+    a_{n-1}, a*_0 ... a*_{n-1} and one alpha per mode.
+
+    Every row comes from one batch of terms (`_verify_terms`) and two
+    merges: one sums every operator a row checks, the other eta_i -
+    adjoint(eta_i).  Each position sums the same terms in the same order
+    as the operator algebra above, so every maximum is bit for bit the
+    one-operator-at-a-time value.  The batch holds O(n^2 dim) terms at once.
+    """
+    modes = space.modes
+    present = {m.statistics for m in modes}
+    rows = ["creator = adjoint(annihilator)", "AC-operator Hermitian"]
+    rows += [row for st, names in _ROWS.items() if st in present for row in names]
+    n, dim = len(modes), space.dimension
+    if not n:
+        return dict.fromkeys(rows, 0.0)
+
+    # Bracketed pairs of same-statistics modes i, j: (a_i, a_j), (a_i, a*_j)
+    # and, for bosons, (a*_i, a*_j).  Same-family fermions anticommute and
+    # every other pair commutes.
+    boson = np.array([m.statistics is Statistics.BOSON for m in modes])
+    family = np.array([fermion_family(m) for m in modes])
+    same = boson[:, None] == boson
+    used = np.zeros((2 * n, 2 * n), dtype=bool)
+    used[:n, :n] = used[:n, n:] = same
+    used[n:, n:] = same & boson[:, None]
+    stacked = np.arange(2 * n) % n  # the mode of each stacked ladder
+    same_family = same & ~boson[:, None] & (family[:, None] == family)
+    anti = same_family[stacked[:, None], stacked]
+    off = space.occupations.sum(1) < space.cutoff_s
+    area = dim * dim
+    keys, data = _merge_terms(*_verify_terms(ladders, alpha, used, anti, off))
+
+    # eta_i - adjoint(eta_i) from eta_i's merged entries, the order in
+    # which `eta - eta.adjoint()` sums them
+    lo, hi = keys.searchsorted((n * area, 2 * n * area))
+    eta_keys, eta = keys[lo:hi], data[lo:hi]
+    slot, rest = np.divmod(eta_keys, area)
+    _, hermitian = _merge_terms(
+        np.concatenate([eta_keys, slot * area + rest % dim * dim + rest // dim]),
+        np.concatenate([eta, -eta.conj()]),
+    )
+
+    # the row each slot counts toward in columns below the cutoff and in
+    # columns at it, -1 for none (eta_i's slots: its row is checked above)
+    at = {row: k for k, row in enumerate(rows)}
+    exchange, number = (
+        np.array([at[_ROWS[m.statistics][k]] for m in modes]) for k in (0, 1)
+    )
+    pair_off = np.full((2 * n, 2 * n), -1, dtype=np.int8)
+    pair_off[:n, :n] = pair_off[n:, n:] = exchange[:, None]
+    pair_off[:n, n:] = number[:, None]
+    pair_cut = pair_off.copy()
+    pair_cut[:n, n:] = -1
+    bosons = np.flatnonzero(boson)
+    pair_cut[bosons, n + bosons] = at.get(_ROWS[Statistics.BOSON][2], -1)
+    slot_off, slot_cut = (
+        np.concatenate([np.zeros(n, np.int8), np.full(n, -1, np.int8), pairs.ravel()])
+        for pairs in (pair_off, pair_cut)
+    )
+    slot = keys // area
+    row = np.where(off[keys % dim], slot_off[slot], slot_cut[slot])
+    counted = row >= 0
+    worst = np.zeros(len(rows))
+    np.maximum.at(worst, row[counted], np.abs(data[counted]))
+    worst[1] = np.abs(hermitian).max(initial=0.0)
+    return dict(zip(rows, worst.tolist()))
+
+
+def _verify_terms(ladders, alpha, used, anti, off):
+    """(keys, data) of the terms of every operator verify checks, before
+    merging: key (slot * dim + row) * dim + col.
+
+    Slot i holds a*_i - adjoint(a_i), slot n + i holds eta_i = alpha_i a_i
+    + conj(alpha_i) a*_i, and slot 2n + 2n p + q the bracket of X_p and
+    X_q where used[p, q]: its X_p X_q terms, then its X_q X_p terms,
+    negated unless anti[p, q].  Last, [a_i, a*_i] gets -1 on its diagonal
+    in the columns below the cutoff (off) and N_i in the others, zeros
+    left out.  A position's terms come in the order `operator_sum`,
+    `commutator`, `anticommutator` and `mixed - eye` or `mixed + N` give
+    them.
+    """
+    space = ladders[0].space
+    n, dim = len(alpha), space.dimension
+    area, width = dim * dim, 2 * n
+    tag = np.arange(width).repeat([len(x.data) for x in ladders])
+    r, c, v = (
+        np.concatenate([getattr(x, f) for x in ladders]) for f in ("rows", "cols", "data")
+    )
+    mode = tag % n
+    split = np.count_nonzero(tag < n)  # first creator entry
+    mixed = width + np.arange(n) * (width + 1) + n  # the slots of [a_i, a*_i]
+    diagonal = np.where(off, -1, space.occupations.T)
+
+    # every product X_p X_q by one row join; in each (p, q, row, col) its
+    # terms come in ascending inner index, as in `_product_terms`
+    by_row = np.argsort(r, kind="stable")
+    count, pick = _row_join(c, r[by_row], dim)
+    pick = by_row[pick]
+    position = (r * dim).repeat(count) + c[pick]
+    product = v.repeat(count) * v[pick]
+    left, right = tag.repeat(count), tag[pick]
+    del pick  # the join's index arrays are O(n^2 dim): free them early
+    pair, swapped = left * width + right, right * width + left
+    del left, right
+    forward, backward = used.ravel()[pair], used.ravel()[swapped]
+    back = product[backward]
+    data = np.concatenate([
+        v[split:],
+        -v[:split].conj(),
+        np.where(tag < n, alpha[mode], alpha[mode].conj()) * v,
+        product[forward],
+        np.where(anti.ravel()[swapped[backward]], back, -back),
+        diagonal[diagonal != 0],
+    ])
+    del product, back  # free the products before the keys are built
+    keys = np.concatenate([
+        (mode * area + r * dim + c)[split:],
+        (mode * area + c * dim + r)[:split],
+        (n + mode) * area + r * dim + c,
+        (width + pair[forward]) * area + position[forward],
+        (width + swapped[backward]) * area + position[backward],
+        ((mixed * area)[:, None] + np.arange(dim) * (dim + 1))[diagonal != 0],
+    ])
+    return keys, data

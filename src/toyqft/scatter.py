@@ -163,20 +163,20 @@ class ProbabilityRow:
     conserves_momentum: bool | None
 
 
-def probability_table(space, amplitudes, in_state, threshold=0.0,
+def probability_table(space, amplitudes, n_in, threshold=0.0,
                       enforce_conservation=False):
     """All out-states with probability above threshold, descending; rows
     whose probabilities agree to 36 significant bits in ascending ket order.
 
-    amplitudes is the column S|in> over the space's basis.  Each row
-    flags whether the out-state's total 4-momentum equals the in-state's;
-    with enforce_conservation the non-conserving rows are dropped.  The
-    flag is None when momenta are not labeled.
+    amplitudes is the column S|in> over the space's basis and n_in the
+    in-state's ket (`space.index_of(in_state)`).  Each row flags whether
+    the out-state's total 4-momentum equals the in-state's; with
+    enforce_conservation the non-conserving rows are dropped.  The flag
+    is None when momenta are not labeled.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     momenta, labeled = _momentum_table(space)
-    n_in = space.index_of(in_state)
     col = np.asarray(amplitudes)
     # np.hypot matches the scalar abs() bit for bit; the array np.abs does not
     prob = np.hypot(col.real, col.imag) ** 2

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -672,3 +673,14 @@ def test_cli_import_leaves_scipy_out():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert result.stdout == "False\n"
+
+
+def test_cli_imports_only_public_toyqft_names():
+    """cli uses the library through its public names only: no
+    _-prefixed module or name (dunders such as __version__ aside)."""
+    private = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("toyqft")):
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+            private += [n for n in names if n.startswith("_") and not n.endswith("__")]
+    assert private == []

@@ -312,7 +312,7 @@ def test_probability_table_identity():
     space = boson_space()
     s = OperatorMatrix(space, np.eye(space.dimension, dtype=complex))
     state_in = two_particle_in(space)
-    rows = probability_table(space, column(s, state_in), state_in)
+    rows = probability_table(space, column(s, state_in), space.index_of(state_in))
     assert len(rows) == 1
     assert rows[0].out_state == state_in
     assert rows[0].probability == pytest.approx(1.0)
@@ -323,7 +323,9 @@ def test_probability_table_sorted_and_bounded():
     space = boson_space(r=2, s=2)
     s = scattering_operator(hamiltonian(space, 0, 2, 1, 1))
     state_in = two_particle_in(space)
-    rows = probability_table(space, column(s, state_in), state_in, threshold=1e-12)
+    rows = probability_table(
+        space, column(s, state_in), space.index_of(state_in), threshold=1e-12
+    )
     probs = [r.probability for r in rows]
     keys = [rounded(p) for p in probs]
     assert keys == sorted(keys, reverse=True)
@@ -335,7 +337,7 @@ def test_probability_table_conservation_filter():
     s = scattering_operator(hamiltonian(space, 0, 2, 1, 1))
     state_in = two_particle_in(space)
     kept = probability_table(
-        space, column(s, state_in), state_in, enforce_conservation=True
+        space, column(s, state_in), space.index_of(state_in), enforce_conservation=True
     )
     momenta, _ = _momentum_table(space)
     p_in = momenta[space.index_of(state_in)]
@@ -389,7 +391,8 @@ def test_probability_table_matches_ket_by_ket(in_modes, threshold, enforce, unit
     fermions = tuple(m for m, _ in in_modes if m < 9)
     in_state = OccupationState(fermions, tuple(p for p in in_modes if p[0] >= 9))
     rows = probability_table(
-        space, column(s, in_state), in_state, threshold, enforce_conservation=enforce
+        space, column(s, in_state), space.index_of(in_state), threshold,
+        enforce_conservation=enforce,
     )
     got = [(space.index_of(r.out_state), r.conserves_momentum) for r in rows]
     expected = reference_table(s, in_state, threshold, enforce)
@@ -406,7 +409,7 @@ def test_probability_table_lists_ties_in_ket_order():
     space = boson_space()
     amplitudes = np.zeros(space.dimension, dtype=complex)
     amplitudes[[0, 2, 4, 5]] = 0.6, 0.5, np.nextafter(0.5, 1), 0.1j
-    rows = probability_table(space, amplitudes, two_particle_in(space))
+    rows = probability_table(space, amplitudes, space.index_of(two_particle_in(space)))
     assert [space.index_of(row.out_state) for row in rows] == [0, 2, 4, 5]
     assert rows[1].probability < rows[2].probability
 

@@ -36,6 +36,7 @@ from toyqft import (
     build_space,
     cli,
     commutator,
+    ladder,
 )
 from toyqft.fock import FockSpace, fermion_family
 from toyqft.ladder import OperatorMatrix, annihilator, creator
@@ -53,7 +54,7 @@ def reference_algebra_checks(space, rng):
     off = occ.sum(1) < space.cutoff_s
     present = {m.statistics for m in modes}
     rows = ["creator = adjoint(annihilator)", "AC-operator Hermitian"]
-    rows += [row for st, names in cli._ROWS.items() if st in present for row in names]
+    rows += [row for st, names in ladder._ROWS.items() if st in present for row in names]
     worst = dict.fromkeys(rows, 0.0)
 
     def note(row, violation, cols=None):
@@ -74,7 +75,7 @@ def reference_algebra_checks(space, rng):
             if mi.statistics is not mj.statistics:
                 continue
             boson = mi.statistics is Statistics.BOSON
-            exchange, number, *boundary = cli._ROWS[mi.statistics]
+            exchange, number, *boundary = ladder._ROWS[mi.statistics]
             anti = not boson and fermion_family(mi) == fermion_family(mj)
             bracket = anticommutator if anti else commutator
             note(exchange, bracket(ann[i], ann[j]))
@@ -172,6 +173,21 @@ def test_verify_peak_traced_memory():
     assert peak < 16 * 2**20
 
 
+def test_verify_merges_twice():
+    """One merge sums every checked operator, the identity and number
+    terms included; the other forms eta - adjoint(eta)."""
+    space = _space(MIXED, 3)
+    calls, real = [], ladder._merge_terms
+
+    def merge_terms(keys, data):
+        calls.append(len(keys))
+        return real(keys, data)
+
+    with mock.patch.object(ladder, "_merge_terms", merge_terms):
+        cli._algebra_checks(space, random.Random(0))
+    assert len(calls) == 2
+
+
 @contextlib.contextmanager
 def counted_lookups():
     """The row counts of every `FockSpace.find_rows` call made inside."""
@@ -235,7 +251,7 @@ def test_verify_looks_up_rows_once_per_mode(roster, s):
 
 def test_scatter_looks_up_the_table_once_per_mode():
     """scatter's fields build each mode's annihilator by one lookup over
-    every ket; its other lookups are of the in-state's one row."""
+    every ket; its only other lookup is of the in-state's one row."""
     space = build_space(build_roster(1, 1, 2), 2)
     scenario = {
         "mass1": 1, "mass2": 1, "r": 2, "cutoff_s": 2, "x0": 1,
@@ -244,6 +260,7 @@ def test_scatter_looks_up_the_table_once_per_mode():
     with counted_lookups() as calls:
         run_cli(["scatter"], scenario)
     assert calls.count(space.dimension) == len(space.modes)
+    assert calls.count(1) == 1
     assert set(calls) == {space.dimension, 1}
 
 
