@@ -160,18 +160,28 @@ def _parse_state(space, raw, field_name):
     except ValueError as exc:  # a mode listed twice
         raise ScenarioError(field_name, str(exc)) from None
     try:
-        return state, space.index_of(state)
+        return space.index_of(state)
     except NotInBasis:
         raise ScenarioError(field_name, "state outside the basis") from None
 
 
-def _state_label(space, state):
-    parts = [space.mode(f).label for f in state.fermions]
-    parts += [
-        space.mode(m).label + (f"^{c}" if c > 1 else "")
-        for m, c in state.bosons
+def _labels(space, kets):
+    """Each ket's label: its occupied fermion modes, then its bosons, each
+    in ascending id, a count above 1 as label^count; |0> for no particle."""
+    fermion = [m.statistics is Statistics.FERMION for m in space.modes]
+    order = np.argsort(np.logical_not(fermion), kind="stable")
+    rows = space.occupations[kets][:, order]
+    ket, column = np.nonzero(rows)  # ket-major, fermion columns first
+    names = [space.modes[i].label for i in order.tolist()]
+    words = [
+        names[c] if n == 1 else f"{names[c]}^{n}"
+        for c, n in zip(column.tolist(), rows[ket, column].tolist())
     ]
-    return " ".join(parts) if parts else "|0>"
+    ends = np.bincount(ket, minlength=len(rows)).cumsum().tolist()
+    return [
+        " ".join(words[start:end]) if end > start else "|0>"
+        for start, end in zip([0] + ends, ends)
+    ]
 
 
 def emit_report(report, fmt):
@@ -213,10 +223,9 @@ def _run_dims(scenario, fmt):
         "rows": [["dimension", space.dimension]],
     }
     if scenario.get("dump_basis"):
-        basis = space.basis
-        report["basis"] = [state.to_json() for state in basis]
-        for i, state in enumerate(basis):
-            report["rows"].append([f"basis[{i}]", _state_label(space, state)])
+        report["basis"] = [state.to_json() for state in space.basis]
+        labels = _labels(space, np.arange(space.dimension))
+        report["rows"] += [[f"basis[{i}]", label] for i, label in enumerate(labels)]
     print(emit_report(report, fmt), end="")
     return 0
 
@@ -296,7 +305,7 @@ def _run_scatter(scenario, fmt, enforce, coupling):
         space = build_space(roster, cutoff)
     except ToyQFTError as exc:
         raise ScenarioError("scatter", str(exc)) from exc
-    in_state, n_in = _parse_state(space, _require(scenario, "in_state"), "in_state")
+    n_in = _parse_state(space, _require(scenario, "in_state"), "in_state")
     # each field moves one count by 1, so H keeps the in-state's (-1)^N
     parity = space.occupations.sum(1) % 2
     sector = np.flatnonzero(parity == parity[n_in])
@@ -309,25 +318,22 @@ def _run_scatter(scenario, fmt, enforce, coupling):
         raise ScenarioError("coupling", f"|g|·‖H‖₁ = {_sig12(scale)} exceeds 1e4")
     e_in = np.zeros(space.dimension, dtype=complex)
     e_in[n_in] = 1
-    rows = probability_table(
+    kets, probabilities, conserves = probability_table(
         space,
         apply_unitary_exp(h, e_in, coupling),
         n_in,
         threshold,
         enforce_conservation=enforce,
     )
+    (in_label,) = _labels(space, [n_in])
     report = {
         "kind": "scatter",
-        "in_state": _state_label(space, in_state),
+        "in_state": in_label,
         "coupling": coupling,
         "columns": ["out_state", "probability", "conserves_p"],
         "rows": [
-            [
-                _state_label(space, row.out_state),
-                float(row.probability),
-                row.conserves_momentum,
-            ]
-            for row in rows
+            list(row)
+            for row in zip(_labels(space, kets), probabilities.tolist(), conserves)
         ],
     }
     print(emit_report(report, fmt), end="")

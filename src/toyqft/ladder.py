@@ -51,8 +51,9 @@ class OperatorMatrix:
     def _summed(cls, space, *parts):
         """Operator of the (keys, data) entries of every part, in any order,
         key row * dim + col: repeated positions are summed in the order
-        given, then zeros are dropped."""
-        keys, data = _merge_terms(*map(np.concatenate, zip(*parts)))
+        given, then zeros are dropped.  A lone part is merged uncopied."""
+        keys, data = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        keys, data = _merge_terms(keys, data)
         rows, cols = np.divmod(keys, space.dimension)
         return cls._sorted(space, rows, cols, data)
 
@@ -113,6 +114,7 @@ def _merge_terms(keys, data):
     keys, so a position's sum depends only on its terms and their order."""
     order = keys.argsort(kind="stable")
     keys, data = keys[order], data[order]
+    del order  # free it before the runs are summed
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])

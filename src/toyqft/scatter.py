@@ -9,7 +9,6 @@ translation rephases each pair of basis kets (see `hamiltonian`).
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +29,7 @@ def build_roster(mass1, mass2, r, statistics1=Statistics.BOSON,
         (mass1, statistics1, "a"),
         (mass2, statistics2, "b"),
     ):
-        points = hyperboloid(mass, r)
-        if not points:
-            raise EmptyRoster(f"mass-{mass} hyperboloid empty for r={r}")
-        for p in points:
+        for p in _block(mass, r):
             modes.append(
                 ParticleMode(
                     id=len(modes),
@@ -46,14 +42,22 @@ def build_roster(mass1, mass2, r, statistics1=Statistics.BOSON,
     return modes
 
 
+def _block(mass, r):
+    """The mass hyperboloid's points with p0 <= r, one mode each in
+    `build_roster`; EmptyRoster if there are none."""
+    points = hyperboloid(mass, r)
+    if not points:
+        raise EmptyRoster(f"mass-{mass} hyperboloid empty for r={r}")
+    return points
+
+
 def _fields(space, x, r, m1, m2):
     """The mass-m1 and mass-m2 block fields at lattice point x."""
-    n1 = len(hyperboloid(m1, r))
-    n = len(build_roster(m1, m2, r))  # EmptyRoster if a block is empty
+    n1, n2 = (len(_block(m, r)) for m in (m1, m2))
     ids = [m.id for m in space.modes]
     return (
         field_at(space, x, r, m1, mode_ids=ids[:n1]),
-        field_at(space, x, r, m2, mode_ids=ids[n1:n]),
+        field_at(space, x, r, m2, mode_ids=ids[n1:n1 + n2]),
     )
 
 
@@ -93,9 +97,11 @@ def hamiltonian(space, x0, r, m1, m2, kets=None):
         inside[kets] = True
         left = [_entries(f, inside[f.rows]) for f in left]
         right = [_entries(f, inside[f.cols]) for f in right]
-    tau = OperatorMatrix._summed(
-        space, left[0]._product_terms(right[1]), left[1]._product_terms(right[0])
-    )
+    # one part, concatenated first: the two products' terms are freed
+    # before the merge sorts them
+    tau = OperatorMatrix._summed(space, tuple(map(np.concatenate, zip(
+        left[0]._product_terms(right[1]), left[1]._product_terms(right[0])
+    ))))
     data = tau.data  # fresh: scaled and masked in place
     data *= 0.5
     data *= _slice_mask(space, x0, tau.rows, tau.cols)
@@ -156,23 +162,19 @@ def scattering_operator(h, coupling=1.0):
     return OperatorMatrix(h.space, u)
 
 
-@dataclass(frozen=True)
-class ProbabilityRow:
-    out_state: object
-    probability: float
-    conserves_momentum: bool | None
-
-
 def probability_table(space, amplitudes, n_in, threshold=0.0,
                       enforce_conservation=False):
-    """All out-states with probability above threshold, descending; rows
-    whose probabilities agree to 36 significant bits in ascending ket order.
+    """(kets, probabilities, conserves) of every out-state with
+    probability above threshold, in row order: descending probability,
+    rows whose probabilities agree to 36 significant bits in ascending
+    ket order.  kets is an int array, probabilities a float64 array and
+    conserves a list.
 
     amplitudes is the column S|in> over the space's basis and n_in the
-    in-state's ket (`space.index_of(in_state)`).  Each row flags whether
-    the out-state's total 4-momentum equals the in-state's; with
-    enforce_conservation the non-conserving rows are dropped.  The flag
-    is None when momenta are not labeled.
+    in-state's ket (`space.index_of(in_state)`).  conserves says whether
+    each out-state's total 4-momentum equals the in-state's; with
+    enforce_conservation the non-conserving rows are dropped.  It is
+    None when momenta are not labeled.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -189,8 +191,4 @@ def probability_table(space, amplitudes, n_in, threshold=0.0,
     mantissa, exponent = np.frexp(prob[kept])
     rounded = np.ldexp(np.round(np.ldexp(mantissa, 36)), exponent - 36)
     kept = kept[np.lexsort((kept, -rounded))]
-    flags = np.where(flagged, conserves, None)
-    return [
-        ProbabilityRow(state, float(prob[n]), flags[n])
-        for n, state in zip(kept.tolist(), space.states_at(kept))
-    ]
+    return kept, prob[kept], np.where(flagged[kept], conserves[kept], None).tolist()

@@ -114,11 +114,6 @@ def _slice_points(x0):
     return points
 
 
-def space_slice(x0):
-    """Lattice points (x0, x) with |x| <= x0, in deterministic order."""
-    return [LatticePoint(x0, tuple(x)) for x in _slice_points(x0)[:, 1:].tolist()]
-
-
 def field_at(space, x, r, m, mode_ids):
     """Free field at lattice point x: one AC term per mass-m hyperboloid
     point with p0 <= r, with coefficient phase(p, x) / p0.

@@ -9,13 +9,24 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toyqft import build_roster, build_space, cli, hamiltonian, scattering_operator
+from toyqft import (
+    FockSpace,
+    OccupationState,
+    ParticleMode,
+    Statistics,
+    build_roster,
+    build_space,
+    cli,
+    hamiltonian,
+    scattering_operator,
+)
 from toyqft.cli import emit_report, main
 from toyqft.ladder import OperatorMatrix
 
@@ -180,6 +191,88 @@ def test_scatter_probability_table(tmp_path, capsys):
     total = sum(row[1] for row in report["rows"])
     assert total == pytest.approx(1.0, abs=1e-9)
     assert all(row[2] in (True, False) for row in report["rows"])
+
+
+def reference_label(space, state):
+    """One ket's label from its OccupationState: fermion modes, then
+    bosons, each in ascending id, a count above 1 as ^count; |0> for
+    no particle."""
+    parts = [space.mode(f).label for f in state.fermions]
+    parts += [space.mode(m).label + (f"^{c}" if c > 1 else "") for m, c in state.bosons]
+    return " ".join(parts) if parts else "|0>"
+
+
+LABELED_MODES = st.lists(
+    st.tuples(st.sampled_from(list(Statistics)), st.sampled_from(["", "a", "a", "b c", "d^2"])),
+    max_size=5,
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(roster=LABELED_MODES, s=st.integers(1, 4))
+def test_labels_match_the_per_state_rule(roster, s):
+    """_labels gives every ket the label of the per-state rule, for all
+    kets, for a subset in reverse order and for a list of one ket."""
+    space = build_space(
+        [ParticleMode(i, label, stats) for i, (stats, label) in enumerate(roster)], s
+    )
+    expected = [reference_label(space, state) for state in space.basis]
+    assert cli._labels(space, np.arange(space.dimension)) == expected
+    subset = np.arange(space.dimension)[::-2]
+    assert cli._labels(space, subset) == [expected[n] for n in subset]
+    assert cli._labels(space, [space.dimension - 1]) == expected[-1:]
+    assert cli._labels(space, np.arange(0)) == []
+
+
+def test_labels_order_counts_empty_and_repeated_labels():
+    fermion, boson = Statistics.FERMION, Statistics.BOSON
+    space = build_space(
+        [
+            ParticleMode(0, "b", boson),
+            ParticleMode(1, "f", fermion),
+            ParticleMode(2, "", boson),
+            ParticleMode(3, "f", fermion),
+        ],
+        3,
+    )
+
+    def label(*raw):
+        (text,) = cli._labels(space, [ket(space, *raw)])
+        return text
+
+    assert label() == "|0>"
+    assert label(0, 1) == "f b"  # a fermion before a boson of lower id
+    assert label(0, 0, 3) == "f b^2"
+    assert label(0, 0, 0) == "b^3"
+    assert label(2) == ""  # a particle in a mode labelled "" is no vacuum
+    assert label(2, 2) == "^2"
+    assert label(0, 2) == "b "
+    assert label(1, 3) == "f f"  # repeated labels are kept
+    assert cli._labels(build_space([], 1), [0]) == ["|0>"]
+
+
+def test_scatter_builds_no_state_per_row(tmp_path, capsys):
+    """A scatter op at r=2, s=3 prints its table without FockSpace.states_at:
+    the only OccupationState it makes is the parsed in-state."""
+    scenario = dict(SCATTER_R1, r=2, cutoff_s=3, in_state={"modes": [[0, 1], [9, 1]]})
+    path = write_scenario(tmp_path, scenario)
+    calls, made = [], []
+    real_states_at, real_post_init = FockSpace.states_at, OccupationState.__post_init__
+
+    def states_at(space, ordinals):
+        calls.append(len(ordinals))
+        return real_states_at(space, ordinals)
+
+    def post_init(state):
+        made.append(state)
+        real_post_init(state)
+
+    with mock.patch.object(FockSpace, "states_at", states_at), \
+            mock.patch.object(OccupationState, "__post_init__", post_init):
+        code, out, _ = run(capsys, ["scatter", "--scenario", path])
+    assert code == 0 and len(json.loads(out)["rows"]) > 100
+    assert calls == []
+    assert made == [OccupationState(bosons=((0, 1), (9, 1)))]
 
 
 def test_scatter_enforce_conservation(tmp_path, capsys):
@@ -638,7 +731,7 @@ def test_scatter_strong_coupling_matches_dense_column(tmp_path, capsys):
     s = scattering_operator(hamiltonian(space, 1, 2, 1, 1), coupling=30.0)
     expected = np.abs(s.mat[:, ket(space, 0, 9)]) ** 2
     labels = {
-        cli._state_label(space, state): n for n, state in enumerate(space.basis)
+        label: n for n, label in enumerate(cli._labels(space, np.arange(space.dimension)))
     }
     got = np.zeros(space.dimension)
     for label, p, _ in json.loads(out)["rows"]:

@@ -23,7 +23,7 @@ from toyqft import (
 from toyqft.errors import EmptyRoster
 from toyqft.ladder import OperatorMatrix
 from toyqft.scatter import _momentum_table, _slice_mask
-from toyqft.spacetime import phase, space_slice
+from toyqft.spacetime import _slice_points, phase
 from toyqft.spectral import _Sector, apply_unitary_exp
 
 from conftest import ket
@@ -34,6 +34,11 @@ MAXABS = np.abs
 def boson_space(m1=1, m2=1, r=1, s=2):
     roster = build_roster(m1, m2, r)
     return build_space(roster, s)
+
+
+def space_slice(x0):
+    """Lattice points (x0, x) with |x| <= x0, in the slice's order."""
+    return [LatticePoint(x0, tuple(x)) for x in _slice_points(x0)[:, 1:].tolist()]
 
 
 def column(s, in_state):
@@ -312,21 +317,23 @@ def test_probability_table_identity():
     space = boson_space()
     s = OperatorMatrix(space, np.eye(space.dimension, dtype=complex))
     state_in = two_particle_in(space)
-    rows = probability_table(space, column(s, state_in), space.index_of(state_in))
-    assert len(rows) == 1
-    assert rows[0].out_state == state_in
-    assert rows[0].probability == pytest.approx(1.0)
-    assert rows[0].conserves_momentum is True
+    kets, probs, conserves = probability_table(
+        space, column(s, state_in), space.index_of(state_in)
+    )
+    assert kets.dtype.kind == "i" and probs.dtype == np.float64
+    assert kets.tolist() == [space.index_of(state_in)]
+    assert probs.tolist() == [pytest.approx(1.0)]
+    assert conserves == [True] and conserves[0] is True
 
 
 def test_probability_table_sorted_and_bounded():
     space = boson_space(r=2, s=2)
     s = scattering_operator(hamiltonian(space, 0, 2, 1, 1))
     state_in = two_particle_in(space)
-    rows = probability_table(
+    _, probs, _ = probability_table(
         space, column(s, state_in), space.index_of(state_in), threshold=1e-12
     )
-    probs = [r.probability for r in rows]
+    probs = probs.tolist()
     keys = [rounded(p) for p in probs]
     assert keys == sorted(keys, reverse=True)
     assert sum(probs) <= 1 + 1e-9
@@ -336,13 +343,13 @@ def test_probability_table_conservation_filter():
     space = boson_space(r=2, s=2)
     s = scattering_operator(hamiltonian(space, 0, 2, 1, 1))
     state_in = two_particle_in(space)
-    kept = probability_table(
+    kept, _, _ = probability_table(
         space, column(s, state_in), space.index_of(state_in), enforce_conservation=True
     )
     momenta, _ = _momentum_table(space)
     p_in = momenta[space.index_of(state_in)]
-    for row in kept:
-        assert np.array_equal(momenta[space.index_of(row.out_state)], p_in)
+    for n in kept:
+        assert np.array_equal(momenta[n], p_in)
 
 
 def rounded(p):
@@ -390,14 +397,14 @@ def test_probability_table_matches_ket_by_ket(in_modes, threshold, enforce, unit
         s = scattering_operator(hamiltonian(space, 1, 2, 1, 2))
     fermions = tuple(m for m, _ in in_modes if m < 9)
     in_state = OccupationState(fermions, tuple(p for p in in_modes if p[0] >= 9))
-    rows = probability_table(
+    kets, probs, conserves = probability_table(
         space, column(s, in_state), space.index_of(in_state), threshold,
         enforce_conservation=enforce,
     )
-    got = [(space.index_of(r.out_state), r.conserves_momentum) for r in rows]
+    got = list(zip(kets.tolist(), conserves))
     expected = reference_table(s, in_state, threshold, enforce)
     assert got == [(n, flag) for n, _, flag in expected]
-    assert np.allclose([r.probability for r in rows], [p for _, p, _ in expected], rtol=0, atol=1e-15)
+    assert np.allclose(probs, [p for _, p, _ in expected], rtol=0, atol=1e-15)
     flags = {flag for _, flag in got}
     if unitary == "random":
         assert flags == ({None} if 10 in dict(in_modes) else {True, None} if enforce else {True, False, None})
@@ -409,9 +416,11 @@ def test_probability_table_lists_ties_in_ket_order():
     space = boson_space()
     amplitudes = np.zeros(space.dimension, dtype=complex)
     amplitudes[[0, 2, 4, 5]] = 0.6, 0.5, np.nextafter(0.5, 1), 0.1j
-    rows = probability_table(space, amplitudes, space.index_of(two_particle_in(space)))
-    assert [space.index_of(row.out_state) for row in rows] == [0, 2, 4, 5]
-    assert rows[1].probability < rows[2].probability
+    kets, probs, _ = probability_table(
+        space, amplitudes, space.index_of(two_particle_in(space))
+    )
+    assert kets.tolist() == [0, 2, 4, 5]
+    assert probs[1] < probs[2]
 
 
 # (m1, m2, r, s, x0, statistics) of every scatter class in the benchmark's
@@ -524,5 +533,6 @@ def test_readme_example_runs():
     quoted = float(re.search(r"P\(vacuum\) is ([0-9.]+) at s=2", readme)[1])
     scope = {}
     exec(example, scope)
-    (vacuum,) = [r.probability for r in scope["rows"] if r.out_state == OccupationState()]
+    vacuum_ket = scope["space"].index_of(OccupationState())
+    (vacuum,) = scope["probabilities"][scope["kets"] == vacuum_ket]
     assert round(vacuum, 3) == quoted == 0.287
