@@ -104,7 +104,8 @@ class FockSpace:
     total particle count ascending, then lexicographic on the canonical
     encoding (fermion block first); ket 0 is the vacuum.  OccupationState
     objects are made only at the edges.  Immutable after construction
-    but for `_annihilators`, each mode's annihilator entries once built.
+    but for `_annihilators`, each mode's annihilator entries once built,
+    and `_momenta`, scatter's momentum table once built.
     """
 
     modes: tuple
@@ -114,6 +115,8 @@ class FockSpace:
     _lookup: tuple = field(init=False, compare=False, repr=False)
     # (rows, cols, data) arrays: an operator would refer back to the space
     _annihilators: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    # (P, labeled) arrays of `scatter._momentum_table`, None until built
+    _momenta: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         keys = _row_keys(self.occupations)
@@ -138,11 +141,14 @@ class FockSpace:
         return self.mode(mode_id).statistics is Statistics.FERMION
 
     def find_rows(self, rows):
-        """Ket of each row of a C-contiguous count table, -1 if it is none."""
+        """Ket of each row of a C-contiguous count table, -1 if it is none.
+
+        One search among the sorted row keys gives each row a candidate
+        ket; the candidate is its ket only if the two count rows agree
+        (cheaper than comparing the opaque keys again)."""
         known, kets = self._lookup
-        wanted = _row_keys(rows)
-        pos = np.minimum(np.searchsorted(known, wanted), len(known) - 1)
-        return np.where(known[pos] == wanted, kets[pos], -1)
+        candidate = kets.take(np.searchsorted(known, _row_keys(rows)), mode="clip")
+        return np.where((self.occupations[candidate] == rows).all(1), candidate, -1)
 
     def index_of(self, state):
         row = np.zeros((1, len(self.modes)), dtype=np.int64)

@@ -16,7 +16,7 @@ from .errors import EmptyRoster
 from .fields import interaction_field
 from .fock import ParticleMode, Statistics
 from .ladder import OperatorMatrix
-from .spacetime import LatticePoint, _slice_points, field_at, hyperboloid
+from .spacetime import LatticePoint, _shell, _slice_points, field_at
 from .spectral import eigh, unitary_exp
 
 
@@ -45,7 +45,7 @@ def build_roster(mass1, mass2, r, statistics1=Statistics.BOSON,
 def _block(mass, r):
     """The mass hyperboloid's points with p0 <= r, one mode each in
     `build_roster`; EmptyRoster if there are none."""
-    points = hyperboloid(mass, r)
+    points = _shell(mass, r)
     if not points:
         raise EmptyRoster(f"mass-{mass} hyperboloid empty for r={r}")
     return points
@@ -68,11 +68,18 @@ def hamiltonian_density(space, x, r, m1, m2):
 
 def _momentum_table(space):
     """(P, labeled): P[n] is ket n's summed 4-momentum, an unlabeled mode
-    adding 0, and labeled[n] says ket n occupies no unlabeled mode."""
-    occ = space.occupations
-    labels = np.array([m.momentum or (0,) * 4 for m in space.modes], dtype=np.int64)
-    unlabeled = [m.momentum is None for m in space.modes]
-    return occ @ labels.reshape(-1, 4), ~occ[:, unlabeled].any(1)
+    adding 0, and labeled[n] says ket n occupies no unlabeled mode.
+    Built on first use and kept on the space as read-only arrays, so the
+    slice mask and the probability table of one op share it."""
+    if space._momenta is None:
+        occ = space.occupations
+        labels = np.array([m.momentum or (0,) * 4 for m in space.modes], dtype=np.int64)
+        unlabeled = [m.momentum is None for m in space.modes]
+        table = occ @ labels.reshape(-1, 4), ~occ[:, unlabeled].any(1)
+        for array in table:
+            array.flags.writeable = False
+        object.__setattr__(space, "_momenta", table)
+    return space._momenta
 
 
 def hamiltonian(space, x0, r, m1, m2, kets=None):
@@ -122,32 +129,48 @@ _FIELD_GUARD, _FIELD_MASK = 0o4444, 0o3333
 
 @functools.cache
 def _classes():
-    """(d, codes): column k of d is the k-th of the 256 classes, codes[k]
-    its code.  Built on first use, so importing does no array work."""
+    """(d, codes, spatial): column k of d is the k-th of the 256 classes,
+    codes[k] its code, and spatial[j, k] is -x.d mod 4 for x in residue
+    class j of x mod 4, x = (j >> 4, j >> 2, j) & 3, and d class k.  Built
+    on first use, so importing does no array work."""
     d = np.arange(256) >> np.arange(0, 8, 2)[:, None] & 3
     codes = (d << np.array(_FIELD_BITS)[:, None]).sum(0)
-    d.flags.writeable = codes.flags.writeable = False  # shared by every call
-    return d, codes
+    x = np.arange(64)[:, None] >> np.array([4, 2, 0]) & 3
+    spatial = -x @ d[1:] & 3
+    for array in (d, codes, spatial):
+        array.flags.writeable = False  # shared by every call
+    return d, codes, spatial
 
 
-def _slice_mask(space, x0, rows, cols):
-    """M at the entries (rows, cols): with c_k the number of slice points
-    x where (P_n - P_m).x = k mod 4, M_mn = ((c_0 - c_2) + i(c_1 - c_3)) / |slice|,
-    read from a table over the 256 classes of P_n - P_m mod 4."""
+def _slice_table(x0):
+    """M by class code: with c_k the number of slice points x where
+    d.x = k mod 4, entry code(d) is ((c_0 - c_2) + i(c_1 - c_3)) / |slice|.
+
+    d.x mod 4 depends on x only through x mod 4, so each residue class of
+    x mod 4 that holds slice points is turned once and counted as often
+    as it holds them: the same integers as counting point by point."""
     points = _slice_points(x0)
-    classes, codes = _classes()
-    # row k of g is slice point k as (x0, -x), so g @ d holds d.x, and & 3
-    # takes it mod 4; class k's quarter-turn counts land at 4k ... 4k + 3
-    g = points * (1, -1, -1, -1)
-    turns = (g @ classes & 3) + 4 * np.arange(256)
-    counts = np.bincount(turns.ravel(), minlength=1024).reshape(256, 4)
+    classes, codes, spatial = _classes()
+    # slice points per residue class j = 16 (x1 & 3) + 4 (x2 & 3) + (x3 & 3)
+    sizes = np.bincount((points[:, 1:] & 3) @ (16, 4, 1), minlength=64)
+    held = sizes.nonzero()[0]
+    # a slice point (x0, x) turns class d by x0 d_0 - x.d mod 4 (x.d - x0 d_0
+    # would conjugate M); class k's quarter-turn counts land at 4k ... 4k + 3
+    turns = ((x0 * classes[0] + spatial[held]) & 3) + 4 * np.arange(256)
+    counts = np.bincount(turns.ravel(), sizes[held].repeat(256), 1024).reshape(256, 4)
     table = np.zeros(_FIELD_MASK + 1, dtype=complex)
     table.real[codes] = counts[:, 0] - counts[:, 2]
     table.imag[codes] = counts[:, 1] - counts[:, 3]
     table /= len(points)
+    return table
+
+
+def _slice_mask(space, x0, rows, cols):
+    """M at the entries (rows, cols), M_mn = avg_x i^((P_n - P_m).x) over
+    the slice, read from `_slice_table` by the class of P_n - P_m mod 4."""
     momenta, _ = _momentum_table(space)
     code = ((momenta & 3) << _FIELD_BITS).sum(1)
-    return table[((code[cols] | _FIELD_GUARD) - code[rows]) & _FIELD_MASK]
+    return _slice_table(x0)[((code[cols] | _FIELD_GUARD) - code[rows]) & _FIELD_MASK]
 
 
 def scattering_operator(h, coupling=1.0):

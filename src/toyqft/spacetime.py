@@ -6,7 +6,6 @@ unity computed from px mod 4 with no floating-point trigonometry.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import isqrt
 
@@ -95,6 +94,14 @@ def hyperboloid(m, r):
     return points
 
 
+@functools.cache
+def _shell(m, r):
+    """hyperboloid(m, r) as a tuple, built once per (m, r): a scatter op
+    reads each block's shell in `build_roster`, `scatter._fields` and
+    `field_at`."""
+    return tuple(hyperboloid(m, r))
+
+
 def space_volume(x0):
     """Number of integer spatial points within Euclidean distance x0."""
     return len(_slice_points(x0))
@@ -106,8 +113,8 @@ def _slice_points(x0):
     x1 slowest and x3 fastest; read-only, built once per x0."""
     if x0 < 0:
         raise ValueError("time coordinate must be nonnegative")
-    axis = range(-x0, x0 + 1)
-    x = np.array(list(itertools.product(axis, repeat=3)), dtype=np.int64)
+    axis = np.arange(-x0, x0 + 1, dtype=np.int64)
+    x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
     x = x[(x * x).sum(1) <= x0 * x0]
     points = np.column_stack([np.full(len(x), x0, dtype=np.int64), x])
     points.flags.writeable = False  # shared by every call
@@ -123,7 +130,7 @@ def field_at(space, x, r, m, mode_ids):
     roster apart.  Massless fields are rejected: the p0 = 0 point has no
     finite coefficient.
     """
-    points = hyperboloid(m, r)
+    points = _shell(m, r)
     if any(p.p0 == 0 for p in points):
         raise DivisionByZeroEnergy(
             f"mass-{m} hyperboloid contains a zero-energy point"

@@ -160,9 +160,12 @@ class _Sector:
             reached = reached | hit
         self.kets = np.flatnonzero(reached)
         keep = reached[h.cols]
+        rows, cols, data = h.rows, h.cols, h.data
+        if not keep.all():  # else H's own arrays: no copy of its data
+            rows, cols, data = rows[keep], cols[keep], data[keep]
         local = reached.cumsum() - 1
-        rows = local[h.rows[keep]]
-        self.cols, self.data = local[h.cols[keep]], h.data[keep]
+        rows = local[rows]
+        self.cols, self.data = local[cols], data
         self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
         self.filled = rows[self.starts]
 

@@ -288,11 +288,41 @@ def test_two_block_roster_matches_brute_force_order(statistics, s):
     assert np.array_equal(space.occupations, reference_occupations(modes, s))
 
 
-def test_find_rows_misses():
-    space = l_space(2, 2, 3)
-    rows = np.array([[2, 0, 0, 0], [0, 0, 4, 0], [0, 0, -1, 0], [1, 1, 1, 0]])
-    hit = space.index_of(OccupationState(fermions=(0, 1), bosons=((2, 1),)))
-    assert space.find_rows(rows).tolist() == [-1, -1, -1, hit]
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    roster=st.lists(st.sampled_from("FB"), max_size=5),
+    s=st.integers(1, 4),
+)
+@example(roster=["F", "F", "B", "B"], s=3)
+@example(roster=["B", "F", "B"], s=2)
+@example(roster=["F"], s=1)
+@example(roster=[], s=1)
+def test_find_rows_matches_a_dict_of_rows(roster, s):
+    """find_rows gives the ket a dict keyed by row tuples gives, -1 for a
+    row that is no ket: every ket's row, each ket's row with one count
+    moved by one (a -1 count, a total above s, a fermion count of 2) and
+    s + 1 particles in one mode."""
+    stats = {"F": Statistics.FERMION, "B": Statistics.BOSON}
+    space = build_space([ParticleMode(i, f"m{i}", stats[t]) for i, t in enumerate(roster)], s)
+    occ = space.occupations
+    kets = {tuple(row): n for n, row in enumerate(occ.tolist())}
+    rows = [occ, (s + 1) * np.eye(len(roster), dtype=np.int64)]
+    for j in range(len(roster)):
+        for step in (-1, 1):
+            moved = occ.copy()
+            moved[:, j] += step
+            rows.append(moved)
+    rows = np.concatenate(rows)
+    expected = [kets.get(tuple(row), -1) for row in rows.tolist()]
+    assert space.find_rows(rows).tolist() == expected
+    assert expected[:space.dimension] == list(range(space.dimension))
+    if roster:  # every kind of miss is among the rows
+        misses = rows[np.array(expected) < 0]
+        assert (misses.min(1) == -1).any()
+        assert (misses.sum(1) > s).any()
+        if "F" in roster:
+            fermion = np.array(roster) == "F"
+            assert (misses[:, fermion] == 2).any()
 
 
 # l_space(2, 2, 3): fermion modes 0, 1 and boson modes 2, 3

@@ -1,6 +1,8 @@
+import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +22,10 @@ from toyqft import (
     scattering_operator,
     unitary_exp,
 )
+from toyqft import cli, scatter, spacetime
 from toyqft.errors import EmptyRoster
 from toyqft.ladder import OperatorMatrix
-from toyqft.scatter import _momentum_table, _slice_mask
+from toyqft.scatter import _FIELD_MASK, _classes, _momentum_table, _slice_mask, _slice_table
 from toyqft.spacetime import _slice_points, phase
 from toyqft.spectral import _Sector, apply_unitary_exp
 
@@ -256,6 +259,21 @@ def test_slice_mask_by_class_matches_per_point_count(stats, x0):
     assert (np.count_nonzero(mask.imag) > 0) == (x0 % 2 == 1)
 
 
+@pytest.mark.parametrize("x0", range(9))
+def test_slice_table_matches_per_point_count(x0):
+    """The table from the slice's residue classes mod 4 is the one from
+    counting each slice point's quarter turns, bit for bit."""
+    points = _slice_points(x0)
+    classes, codes, _ = _classes()
+    turns = (points * (1, -1, -1, -1)) @ classes & 3  # one row per point
+    counts = np.array([np.bincount(t, minlength=4) for t in turns.T])
+    table = np.zeros(_FIELD_MASK + 1, dtype=complex)
+    table.real[codes] = counts[:, 0] - counts[:, 2]
+    table.imag[codes] = counts[:, 1] - counts[:, 3]
+    table /= len(points)
+    assert _slice_table(x0).tobytes() == table.tobytes()
+
+
 def test_hamiltonian_rejects_empty_mass_block():
     space = boson_space()
     with pytest.raises(EmptyRoster, match="mass-1 hyperboloid empty for r=0"):
@@ -487,6 +505,53 @@ def test_exp_action_reaches_every_even_ket_at_r2_s3():
     space = build_space(build_roster(1, 1, 2), 3)  # dim 1,330
     sector = _Sector(hamiltonian(space, 0, 2, 1, 1), block_in_state(space, 1, 2))
     assert len(sector.kets) == 172  # 1 vacuum + 171 two-particle kets
+
+
+def test_sector_of_a_whole_block_keeps_its_data():
+    """At r=3, s=2, x0=1 the column reaches every ket of its (-1)^N
+    block, so the sector holds the block H's own data; the column is bit
+    for bit the one from the full H, whose sector copies the entries."""
+    space = build_space(build_roster(1, 1, 3), 2)
+    e_in = block_in_state(space, 1, 3)
+    parity = space.occupations.sum(1) % 2
+    block = hamiltonian(space, 1, 3, 1, 1, np.flatnonzero(parity == 0))
+    full = hamiltonian(space, 1, 3, 1, 1)
+    assert _Sector(block, e_in).data is block.data
+    assert _Sector(full, e_in).data.tobytes() == block.data.tobytes()
+    column = apply_unitary_exp(block, e_in)
+    assert column.tobytes() == apply_unitary_exp(full, e_in).tobytes()
+
+
+@pytest.mark.parametrize("masses, shells", [((1, 1), [(1, 2)]), ((1, 2), [(1, 2), (2, 2)])])
+def test_scatter_op_builds_shells_and_momentum_table_once(tmp_path, capsys, masses, shells):
+    """One scatter op at r=2, s=2, x0=1 builds each mass shell once (the
+    two blocks of equal mass share one) and one momentum table, which
+    the slice mask and the probability table both read."""
+    scenario = {
+        "mass1": masses[0], "mass2": masses[1], "r": 2, "cutoff_s": 2, "x0": 1,
+        "in_state": {"modes": [[0, 1], [9, 1]]},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    built, tables = [], []
+    real_hyperboloid, real_table = spacetime.hyperboloid, scatter._momentum_table
+
+    def hyperboloid(m, r):
+        built.append((m, r))
+        return real_hyperboloid(m, r)
+
+    def momentum_table(space):
+        tables.append(real_table(space))
+        return tables[-1]
+
+    spacetime._shell.cache_clear()
+    with mock.patch.object(spacetime, "hyperboloid", hyperboloid), \
+            mock.patch.object(scatter, "_momentum_table", momentum_table):
+        assert cli.main(["scatter", "--scenario", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"]
+    assert built == shells
+    assert len(tables) == 2
+    assert all(a is b for a, b in zip(tables[0], tables[1]))
 
 
 @pytest.mark.parametrize("coupling", [1.0, -0.5, 30.0])
