@@ -165,42 +165,22 @@ def _parse_state(space, raw, field_name):
         raise ScenarioError(field_name, "state outside the basis") from None
 
 
-def _occupied(rows):
-    """(columns, counts, bounds) of a count table's nonzero entries as
-    lists, row by row and columns ascending: row n's entries are
-    bounds[n] ... bounds[n + 1] - 1."""
-    row, column = np.nonzero(rows)
-    ends = np.bincount(row, minlength=len(rows)).cumsum().tolist()
-    return column.tolist(), rows[row, column].tolist(), [0] + ends
-
-
 def _labels(space, kets):
     """Each ket's label: its occupied fermion modes, then its bosons, each
     in ascending id, a count above 1 as label^count; |0> for no particle."""
     fermion = [m.statistics is Statistics.FERMION for m in space.modes]
     order = np.argsort(np.logical_not(fermion), kind="stable")
-    columns, counts, bounds = _occupied(space.occupations[kets][:, order])
+    rows = space.occupations[kets][:, order]
+    ket, column = np.nonzero(rows)  # ket-major, fermion columns first
     names = [space.modes[i].label for i in order.tolist()]
-    words = [names[c] if n == 1 else f"{names[c]}^{n}" for c, n in zip(columns, counts)]
+    words = [
+        names[c] if n == 1 else f"{names[c]}^{n}"
+        for c, n in zip(column.tolist(), rows[ket, column].tolist())
+    ]
+    ends = np.bincount(ket, minlength=len(rows)).cumsum().tolist()
     return [
         " ".join(words[start:end]) if end > start else "|0>"
-        for start, end in zip(bounds, bounds[1:])
-    ]
-
-
-def _basis_json(space):
-    """Every ket as `OccupationState.to_json` writes it, read from its
-    count row: fermion ids, then [id, count] per boson, ids ascending."""
-    fermion = [m.statistics is Statistics.FERMION for m in space.modes]
-    ids, counts, bounds = _occupied(space.occupations)
-    return [
-        {
-            "fermions": [i for i in ids[start:end] if fermion[i]],
-            "bosons": [
-                [i, n] for i, n in zip(ids[start:end], counts[start:end]) if not fermion[i]
-            ],
-        }
-        for start, end in zip(bounds, bounds[1:])
+        for start, end in zip([0] + ends, ends)
     ]
 
 
@@ -243,7 +223,7 @@ def _run_dims(scenario, fmt):
         "rows": [["dimension", space.dimension]],
     }
     if scenario.get("dump_basis"):
-        report["basis"] = _basis_json(space)
+        report["basis"] = [state.to_json() for state in space.basis]
         labels = _labels(space, np.arange(space.dimension))
         report["rows"] += [[f"basis[{i}]", label] for i, label in enumerate(labels)]
     print(emit_report(report, fmt), end="")

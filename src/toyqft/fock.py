@@ -104,8 +104,7 @@ class FockSpace:
     total particle count ascending, then lexicographic on the canonical
     encoding (fermion block first); ket 0 is the vacuum.  OccupationState
     objects are made only at the edges.  Immutable after construction
-    but for `_annihilators`, each mode's annihilator entries once built,
-    and `_momenta`, scatter's momentum table once built.
+    but for `_annihilators`, each mode's annihilator entries once built.
     """
 
     modes: tuple
@@ -115,8 +114,6 @@ class FockSpace:
     _lookup: tuple = field(init=False, compare=False, repr=False)
     # (rows, cols, data) arrays: an operator would refer back to the space
     _annihilators: dict = field(init=False, default_factory=dict, compare=False, repr=False)
-    # (P, labeled) arrays of `scatter._momentum_table`, None until built
-    _momenta: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         keys = _row_keys(self.occupations)

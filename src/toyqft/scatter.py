@@ -68,18 +68,11 @@ def hamiltonian_density(space, x, r, m1, m2):
 
 def _momentum_table(space):
     """(P, labeled): P[n] is ket n's summed 4-momentum, an unlabeled mode
-    adding 0, and labeled[n] says ket n occupies no unlabeled mode.
-    Built on first use and kept on the space as read-only arrays, so the
-    slice mask and the probability table of one op share it."""
-    if space._momenta is None:
-        occ = space.occupations
-        labels = np.array([m.momentum or (0,) * 4 for m in space.modes], dtype=np.int64)
-        unlabeled = [m.momentum is None for m in space.modes]
-        table = occ @ labels.reshape(-1, 4), ~occ[:, unlabeled].any(1)
-        for array in table:
-            array.flags.writeable = False
-        object.__setattr__(space, "_momenta", table)
-    return space._momenta
+    adding 0, and labeled[n] says ket n occupies no unlabeled mode."""
+    occ = space.occupations
+    labels = np.array([m.momentum or (0,) * 4 for m in space.modes], dtype=np.int64)
+    unlabeled = [m.momentum is None for m in space.modes]
+    return occ @ labels.reshape(-1, 4), ~occ[:, unlabeled].any(1)
 
 
 def hamiltonian(space, x0, r, m1, m2, kets=None):

@@ -275,41 +275,6 @@ def test_scatter_builds_no_state_per_row(tmp_path, capsys):
     assert made == [OccupationState(bosons=((0, 1), (9, 1)))]
 
 
-DUMP_ROSTERS = {
-    "bosons-below-fermions": (["boson", "fermion", "boson", "fermion"], 3),
-    "no-mode": ([], 2),
-    "fermions": (["fermion"] * 3, 3),
-    "bosons": (["boson"] * 2, 2),
-    "fermion-first": (["fermion", "boson"], 1),
-}
-
-
-@pytest.mark.parametrize("statistics, s", DUMP_ROSTERS.values(), ids=DUMP_ROSTERS)
-def test_dump_basis_from_count_rows(tmp_path, capsys, statistics, s):
-    """dims' basis dump is every ket's OccupationState.to_json, byte for
-    byte, with no FockSpace.states_at call."""
-    roster = [{"statistics": stats, "label": f"m{i}"} for i, stats in enumerate(statistics)]
-    scenario = {"roster": roster, "cutoff_s": s, "dump_basis": True}
-    space = build_space(
-        [ParticleMode(i, f"m{i}", Statistics(stats)) for i, stats in enumerate(statistics)], s
-    )
-    expected = [state.to_json() for state in space.basis]
-    path = write_scenario(tmp_path, scenario)
-    calls = []
-    real_states_at = FockSpace.states_at
-
-    def states_at(space, ordinals):
-        calls.append(len(ordinals))
-        return real_states_at(space, ordinals)
-
-    with mock.patch.object(FockSpace, "states_at", states_at):
-        code, out, _ = run(capsys, ["dims", "--scenario", path])
-    assert code == 0 and calls == []
-    report = json.loads(out)
-    assert report["basis"] == expected
-    assert out == emit_report(dict(report, basis=expected), "json")
-
-
 def test_scatter_enforce_conservation(tmp_path, capsys):
     scenario = {
         "mass1": 1,

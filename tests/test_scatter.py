@@ -22,7 +22,7 @@ from toyqft import (
     scattering_operator,
     unitary_exp,
 )
-from toyqft import cli, scatter, spacetime
+from toyqft import cli, spacetime
 from toyqft.errors import EmptyRoster
 from toyqft.ladder import OperatorMatrix
 from toyqft.scatter import _FIELD_MASK, _classes, _momentum_table, _slice_mask, _slice_table
@@ -523,35 +523,28 @@ def test_sector_of_a_whole_block_keeps_its_data():
 
 
 @pytest.mark.parametrize("masses, shells", [((1, 1), [(1, 2)]), ((1, 2), [(1, 2), (2, 2)])])
-def test_scatter_op_builds_shells_and_momentum_table_once(tmp_path, capsys, masses, shells):
-    """One scatter op at r=2, s=2, x0=1 builds each mass shell once (the
-    two blocks of equal mass share one) and one momentum table, which
-    the slice mask and the probability table both read."""
+def test_scatter_op_builds_each_shell_once(tmp_path, capsys, masses, shells):
+    """One scatter op at r=2, s=2, x0=1 builds each mass shell once: the
+    roster, the fields' block sizes and `field_at` share it, and the two
+    blocks of equal mass share one."""
     scenario = {
         "mass1": masses[0], "mass2": masses[1], "r": 2, "cutoff_s": 2, "x0": 1,
         "in_state": {"modes": [[0, 1], [9, 1]]},
     }
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
-    built, tables = [], []
-    real_hyperboloid, real_table = spacetime.hyperboloid, scatter._momentum_table
+    built = []
+    real_hyperboloid = spacetime.hyperboloid
 
     def hyperboloid(m, r):
         built.append((m, r))
         return real_hyperboloid(m, r)
 
-    def momentum_table(space):
-        tables.append(real_table(space))
-        return tables[-1]
-
     spacetime._shell.cache_clear()
-    with mock.patch.object(spacetime, "hyperboloid", hyperboloid), \
-            mock.patch.object(scatter, "_momentum_table", momentum_table):
+    with mock.patch.object(spacetime, "hyperboloid", hyperboloid):
         assert cli.main(["scatter", "--scenario", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["rows"]
     assert built == shells
-    assert len(tables) == 2
-    assert all(a is b for a, b in zip(tables[0], tables[1]))
 
 
 @pytest.mark.parametrize("coupling", [1.0, -0.5, 30.0])

@@ -40,7 +40,6 @@ from toyqft import (
 )
 from toyqft.fock import FockSpace, fermion_family
 from toyqft.ladder import OperatorMatrix, annihilator, creator
-from toyqft.scatter import _momentum_table
 
 from conftest import identity, number_operator
 
@@ -291,16 +290,14 @@ def test_annihilator_built_once_and_creator_is_its_transpose(roster, s):
 
 
 def test_space_with_built_ladders_is_freed_without_the_cycle_collector():
-    """The space keeps its annihilators' arrays and its momentum table,
-    not operators that refer back to it, so dropping the last reference
-    frees it at once."""
+    """The space keeps its annihilators' arrays, not operators that refer
+    back to it, so dropping the last reference frees it at once."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         space = build_space(build_roster(1, 1, 1), 2)
         for mode in space.modes:
             creator(space, mode.id)
-        _momentum_table(space)
         freed = weakref.ref(space)
         del space
         assert freed() is None
