@@ -6,7 +6,6 @@ from .fock import (
     ParticleMode,
     Statistics,
     build_space,
-    canonicalize,
 )
 from .ladder import (
     OperatorMatrix,

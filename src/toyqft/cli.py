@@ -24,7 +24,7 @@ from .fock import OccupationState, ParticleMode, Statistics, build_space
 from .ladder import algebra_violations, annihilator, creator
 from .scatter import build_roster, hamiltonian, probability_table
 from .spacetime import hyperboloid, space_volume
-from .spectral import apply_unitary_exp, eigh
+from .spectral import DEFAULT_GROUP_TOL, apply_unitary_exp, eigh
 
 SEED_ENV = "TOYQFT_SEED"
 # Largest |g|·‖H‖₁ that scatter accepts, H the block on the in-state's
@@ -395,7 +395,7 @@ def _build_parser():
     p.add_argument("--tol", type=float, default=1e-12)
     p = sub.add_parser("spectrum", help="eigenvalue/multiplicity table")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_GROUP_TOL)
     p = sub.add_parser("scatter", help="scattering probability table")
     common(p)
     p.add_argument("--enforce-conservation", action="store_true")

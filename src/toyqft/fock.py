@@ -223,53 +223,3 @@ def build_space(modes, cutoff_s):
     ])
     occupations.flags.writeable = False
     return FockSpace(modes, cutoff_s, occupations)
-
-
-def _permutation_sign(seq):
-    """Parity of the permutation sorting seq ascending (distinct entries)."""
-    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
-    return -1 if inversions % 2 else 1
-
-
-def fermion_family(mode):
-    """Exchange-sign family of a fermion mode.
-
-    Interchanging two fermions of the same species (same mass) flips the
-    sign; fermions of distinct species, like fermion/boson pairs, commute.
-    Keyed by mass, which is what distinguishes species in every roster.
-    """
-    return mode.mass
-
-
-def canonicalize(space, raw):
-    """Bring a raw mode-id sequence to canonical occupation form.
-
-    Returns (OccupationState, sign) where the sign is the product of the
-    permutation parities of the same-species fermion subsequences, or
-    None when a fermion id repeats (the ket is annihilated).  Boson
-    entries carry no sign, and neither does any cross-species interchange.
-    """
-    fermion_seq = []
-    boson_counts = {}
-    for mode_id in raw:
-        mode = space.mode(mode_id)
-        if mode.statistics is Statistics.FERMION:
-            fermion_seq.append(mode_id)
-        else:
-            boson_counts[mode_id] = boson_counts.get(mode_id, 0) + 1
-    if len(set(fermion_seq)) != len(fermion_seq):
-        return None
-    sign = 1
-    families = {fermion_family(space.mode(f)) for f in fermion_seq}
-    for fam in families:
-        sub = [
-            f for f in fermion_seq
-            if fermion_family(space.mode(f)) == fam
-        ]
-        sign *= _permutation_sign(sub)
-    state = OccupationState(
-        tuple(sorted(fermion_seq)),
-        tuple(sorted(boson_counts.items())),
-    )
-    return state, sign
-

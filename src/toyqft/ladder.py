@@ -5,17 +5,16 @@ entries; `mat` is the dense view.
 
 a is built once per space: lower one column of the occupation array by
 one and look the lowered rows up among the kets; a* is its transpose.
-Fermion sign rule: kets are stored with fermion ids ascending, and the
-sign of removing (or inserting) mode j is (-1)^k where k is the number
-of occupied fermions of j's `fermion_family` preceding j in that
-canonical order.  Fermions of distinct families commute, matching the
-symmetric interchange of distinguishable particles in mixed spaces.
+Exchange rule: `_anticommute` alone says which pairs of modes
+anticommute; every other pair commutes.  Removing (or inserting) mode j
+takes the sign (-1)^k, k the number of occupied modes ahead of j (in
+mode id order) that anticommute with it.
 """
 
 import numpy as np
 
 from .errors import SpaceMismatch
-from .fock import Statistics, fermion_family
+from .fock import Statistics
 
 
 class OperatorMatrix:
@@ -137,6 +136,17 @@ def _row_join(cols, rows, n):
     return count, pick
 
 
+def _anticommute(a, b):
+    """Whether modes a and b anticommute: two fermions of one mass, so
+    also each fermion with itself.  Every other pair commutes.
+
+    Mass stands in for species: two equal-mass fermion blocks, as in
+    `build_roster(m, m, r, FERMION, FERMION)`, anticommute as one species.
+    An explicit species field would fix that (ROADMAP item 5).
+    """
+    return a.statistics is b.statistics is Statistics.FERMION and a.mass == b.mass
+
+
 def zero(space):
     empty = np.zeros(0, dtype=np.intp)
     return OperatorMatrix._sorted(space, empty, empty, np.zeros(0, dtype=complex))
@@ -148,9 +158,9 @@ def annihilator(space, mode_id):
     Its entries are built once per space and kept there as read-only
     arrays, which every later call wraps.  Column c gets (-1)^k sqrt(n)
     at the ket whose occupations are column c's with mode j's count n
-    lowered by one, where k counts the occupied same-family fermions
-    ahead of a fermion mode.  A lowered row that is no ket (an empty
-    mode) gives no entry.
+    lowered by one, where k counts the occupied modes ahead of j that
+    anticommute with it.  A lowered row that is no ket (an empty mode)
+    gives no entry.
     """
     kept = space._annihilators.get(mode_id)
     if kept is not None:
@@ -162,13 +172,8 @@ def annihilator(space, mode_id):
     rows = space.find_rows(lowered)
     cols = np.flatnonzero(rows >= 0)
     values = np.sqrt(occ[cols, mode_id])
-    if mode.statistics is Statistics.FERMION:
-        family = fermion_family(mode)
-        ahead = [
-            m.id for m in space.modes[:mode_id]
-            if m.statistics is Statistics.FERMION
-            and fermion_family(m) == family
-        ]
+    if _anticommute(mode, mode):  # only a fermion takes a sign
+        ahead = [m.id for m in space.modes[:mode_id] if _anticommute(m, mode)]
         values = np.where(occ[cols][:, ahead].sum(1) % 2, -values, values)
     rows = rows[cols]
     order = np.argsort(rows)  # distinct columns land on distinct rows
@@ -262,17 +267,16 @@ def algebra_violations(space, ladders, alpha):
         return dict.fromkeys(rows, 0.0)
 
     # Bracketed pairs of same-statistics modes i, j: (a_i, a_j), (a_i, a*_j)
-    # and, for bosons, (a*_i, a*_j).  Same-family fermions anticommute and
-    # every other pair commutes.
+    # and, for bosons, (a*_i, a*_j); the anticommutator where
+    # `_anticommute` says so, else the commutator.
     boson = np.array([m.statistics is Statistics.BOSON for m in modes])
-    family = np.array([fermion_family(m) for m in modes])
     same = boson[:, None] == boson
     used = np.zeros((2 * n, 2 * n), dtype=bool)
     used[:n, :n] = used[:n, n:] = same
     used[n:, n:] = same & boson[:, None]
     stacked = np.arange(2 * n) % n  # the mode of each stacked ladder
-    same_family = same & ~boson[:, None] & (family[:, None] == family)
-    anti = same_family[stacked[:, None], stacked]
+    anti = np.array([[_anticommute(a, b) for b in modes] for a in modes])
+    anti = anti[stacked[:, None], stacked]
     off = space.occupations.sum(1) < space.cutoff_s
     area = dim * dim
     keys, data = _merge_terms(*_verify_terms(ladders, alpha, used, anti, off))

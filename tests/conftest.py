@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toyqft import ParticleMode, Statistics, build_space, canonicalize
+from toyqft import OccupationState, ParticleMode, Statistics, build_space
 from toyqft.ladder import OperatorMatrix
 
 
@@ -30,6 +30,45 @@ def l_space(m, n, s):
     """Mixed space: m fermions then n bosons, cutoff s."""
     modes = fermion_modes(m) + boson_modes(n, start=m)
     return build_space(modes, s)
+
+
+def _permutation_sign(seq):
+    """Parity of the permutation sorting seq ascending (distinct entries)."""
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def canonicalize(space, raw):
+    """Bring a raw mode-id sequence to canonical occupation form.
+
+    Returns (OccupationState, sign) where the sign is the product of the
+    permutation parities of the same-mass fermion subsequences, or None
+    when a fermion id repeats (the ket is annihilated).  Boson entries
+    carry no sign, and neither does any interchange of fermions of
+    distinct masses.  The sign oracle for the library's ladders: it
+    states the exchange rule on its own, two fermions of one mass
+    anticommute.
+    """
+    fermion_seq = []
+    boson_counts = {}
+    for mode_id in raw:
+        mode = space.mode(mode_id)
+        if mode.statistics is Statistics.FERMION:
+            fermion_seq.append(mode_id)
+        else:
+            boson_counts[mode_id] = boson_counts.get(mode_id, 0) + 1
+    if len(set(fermion_seq)) != len(fermion_seq):
+        return None
+    sign = 1
+    masses = {space.mode(f).mass for f in fermion_seq}
+    for mass in masses:
+        sub = [f for f in fermion_seq if space.mode(f).mass == mass]
+        sign *= _permutation_sign(sub)
+    state = OccupationState(
+        tuple(sorted(fermion_seq)),
+        tuple(sorted(boson_counts.items())),
+    )
+    return state, sign
 
 
 def ket(space, *raw):

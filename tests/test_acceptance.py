@@ -199,6 +199,13 @@ def test_criterion_04_two_mode_fermion_field():
 
 
 def test_criterion_05_three_mode_fermion_fields():
+    """Red by design.  The library's ladders obey the CAR, under which
+    phi2 squares to (a^2 + b^2) I: two values, four times each.  Both
+    claimed spectra are what sign-twisted ladders give, a_j = s_j
+    (lowering of mode j) with s_0 = +1, s_1 = -1 exactly when
+    n_0 = n_2 = 1 and s_2 = -1 exactly when n_0 = 1.  Those break the
+    CAR on half the kets: a0 and a1 commute where n2 = 0, a1 and a2
+    where n0 = 0 (`test_sign_rule.py`)."""
     failures = []
     with criterion(5, "fermion fields on the 8-dim space"):
         for coeffs in draws(3):
@@ -264,6 +271,10 @@ def test_criterion_07_mixed_space_free_fields():
 
 
 def test_criterion_08_interaction_spectra():
+    """Red by design on its 8-dim squared field, the square of criterion
+    5's two-term field: under the CAR phi2^2 = (a^2 + b^2) I.  The
+    claimed (a - b)^2 x2, a^2 + b^2 x4, (a + b)^2 x2 is what criterion
+    5's sign-twisted ladders give (`test_sign_rule.py`)."""
     failures = []
     with criterion(8, "interaction field spectra"):
         for coeffs in draws(6):

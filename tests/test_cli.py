@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -458,7 +459,7 @@ def test_scatter_rejects_non_finite_coupling(tmp_path, capsys, monkeypatch, coup
     assert caught == []
 
 
-# Roster [F m1, B, F m1, B] at s=3: two same-family fermions, two bosons.
+# Roster [F m1, B, F m1, B] at s=3: two fermions of one mass, two bosons.
 MIXED_ROSTER = {
     "roster": [
         {"statistics": "fermion", "mass": 1},
@@ -777,3 +778,26 @@ def test_cli_imports_only_public_toyqft_names():
             names = (node.module or "").split(".") + [alias.name for alias in node.names]
             private += [n for n in names if n.startswith("_") and not n.endswith("__")]
     assert private == []
+
+
+def test_every_toyqft_export_is_used_outside_tests():
+    """Each name `toyqft/__init__.py` imports appears outside tests/: in
+    a src module (in its own module, away from its definition line), in
+    benchmarks/*.py or in README.md."""
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "toyqft"
+    init = package / "__init__.py"
+    outside = [(root / "README.md").read_text()]
+    outside += [p.read_text() for p in sorted((root / "benchmarks").glob("*.py"))]
+    modules = [p.read_text() for p in sorted(package.glob("*.py")) if p != init]
+    unused = []
+    for node in ast.parse(init.read_text()).body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        for name in (alias.name for alias in node.names):
+            texts = outside + [
+                re.sub(rf"^(def|class) {name}\b.*$", "", text, flags=re.M) for text in modules
+            ]
+            if not any(re.search(rf"\b{name}\b", text) for text in texts):
+                unused.append(f"{node.module}.{name}")
+    assert unused == []

@@ -13,11 +13,18 @@ from toyqft import (
     Statistics,
     build_roster,
     build_space,
-    canonicalize,
 )
 from toyqft.errors import InvalidRoster, NotInBasis, UnknownMode
 
-from conftest import boson_modes, fermion_modes, j_space, k_space, ket, l_space
+from conftest import (
+    boson_modes,
+    canonicalize,
+    fermion_modes,
+    j_space,
+    k_space,
+    ket,
+    l_space,
+)
 
 
 def fermion_dimension(s):

@@ -14,7 +14,6 @@ from toyqft import (
     creator,
     build_roster,
     build_space,
-    canonicalize,
 )
 from toyqft.errors import NotInBasis, SpaceMismatch, UnknownMode
 from toyqft.ladder import OperatorMatrix
@@ -22,6 +21,7 @@ from toyqft.spectral import _Sector
 
 from conftest import (
     boson_modes,
+    canonicalize,
     fermion_modes,
     generic_coeffs,
     identity,

@@ -274,6 +274,66 @@ def test_slice_table_matches_per_point_count(x0):
     assert _slice_table(x0).tobytes() == table.tobytes()
 
 
+GAUGE_CASES = [
+    (stats, masses, r)
+    for stats in STATS
+    for masses in [(1, 1), (1, 2), (2, 1)]
+    for r in (1, 2, 3)
+    if r >= max(masses)
+]
+QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+@pytest.mark.parametrize(
+    "stats, masses, r",
+    GAUGE_CASES,
+    ids=[f"{st}-m{m1}{m2}-r{r}" for st, (m1, m2), r in GAUGE_CASES],
+)
+def test_time_slice_is_a_gauge(stats, masses, r):
+    """The ball |x| <= x0 is symmetric under x -> -x, so the mask at
+    d = P_n - P_m is i^(x0 d0) R(d) with R real: H(x0) = D* H' D with
+    D = diag(i^(x0 E_n)), E_n ket n's energy, and H' = tau(0) R real,
+    exactly.  Where d is 0 mod 4 in space every slice point gives 1, so
+    there H' is tau(0), which is H(0), bit for bit.  That pins the mask's
+    direction: the conjugate mask is the gauge D, not D*, and moves the
+    sign of the entries with odd x0 d0."""
+    m1, m2 = masses
+    space = build_space(build_roster(m1, m2, r, *STATS[stats]), 2)
+    momenta, _ = _momentum_table(space)
+    tau = hamiltonian(space, 0, r, m1, m2)
+    n = space.dimension
+    tau_keys = tau.rows * n + tau.cols
+    for x0 in range(6):
+        h = hamiltonian(space, x0, r, m1, m2)
+        d = QUARTER_TURNS[x0 * momenta[:, 0] % 4]
+        gauged = d[h.rows] * h.data * d[h.cols].conj()
+        assert not gauged.imag.any()
+        at = tau_keys.searchsorted(h.rows * n + h.cols)
+        assert np.array_equal(tau_keys[at], h.rows * n + h.cols)
+        aligned = ((momenta[h.cols, 1:] - momenta[h.rows, 1:]) % 4 == 0).all(1)
+        # H is 0 only for two equal-mass fermion blocks at r=1, which
+        # anticommute as one species
+        assert aligned.any() or stats == "FF" and m1 == m2 and r == 1
+        assert np.array_equal(gauged[aligned], tau.data[at][aligned])
+
+
+@pytest.mark.parametrize("x0", [1, 2])
+def test_scattering_is_reciprocal(x0):
+    """P(a -> b) = P(b -> a) among the flagship and three moving
+    catalog in-states: H = D* H' D with H' real symmetric, so S = D* S' D
+    with S' symmetric."""
+    space = boson_space(r=2, s=3)
+    kets = [ket(space, a, b) for a, b in ((0, 9), (5, 16), (1, 14), (6, 12))]
+    h = hamiltonian(space, x0, 2, 1, 1)
+    block = np.empty((4, 4))
+    for row, n_in in enumerate(kets):
+        e_in = np.zeros(space.dimension, dtype=complex)
+        e_in[n_in] = 1
+        block[row] = np.abs(apply_unitary_exp(h, e_in)[kets]) ** 2
+    assert (block > 1e-6).all()
+    assert np.abs(block - block.T).max() <= 1e-15
+
+
 def test_hamiltonian_rejects_empty_mass_block():
     space = boson_space()
     with pytest.raises(EmptyRoster, match="mass-1 hyperboloid empty for r=0"):

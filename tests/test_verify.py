@@ -38,7 +38,7 @@ from toyqft import (
     commutator,
     ladder,
 )
-from toyqft.fock import FockSpace, fermion_family
+from toyqft.fock import FockSpace
 from toyqft.ladder import OperatorMatrix, annihilator, creator
 
 from conftest import identity, number_operator
@@ -68,7 +68,7 @@ def reference_algebra_checks(space, rng):
         eta = alpha * ann[m.id] + alpha.conjugate() * cre[m.id]
         note(rows[1], eta - eta.adjoint())
 
-    # Same-family fermions anticommute and every other same-statistics
+    # Two fermions of one mass anticommute and every other same-statistics
     # pair commutes; the boundary rule reuses the i = j bracket [a_i, a_i*].
     for i, mi in enumerate(modes):
         for j, mj in enumerate(modes):
@@ -76,7 +76,7 @@ def reference_algebra_checks(space, rng):
                 continue
             boson = mi.statistics is Statistics.BOSON
             exchange, number, *boundary = ladder._ROWS[mi.statistics]
-            anti = not boson and fermion_family(mi) == fermion_family(mj)
+            anti = not boson and mi.mass == mj.mass
             bracket = anticommutator if anti else commutator
             note(exchange, bracket(ann[i], ann[j]))
             if boson:
@@ -215,7 +215,8 @@ def run_cli(argv, scenario):
 def raised_creator(space, mode_id):
     """(rows, cols, data) of a* by its own lookup: each ket's row with the
     mode's count raised by one, found among the kets, with sqrt of the
-    raised count and the sign of the same-family fermions ahead."""
+    raised count and the sign of the occupied fermions of the same mass
+    ahead: two fermions of one mass anticommute."""
     mode = space.mode(mode_id)
     occ = space.occupations
     raised = occ.copy()
@@ -226,7 +227,7 @@ def raised_creator(space, mode_id):
     if space.is_fermion(mode_id):
         ahead = [
             m.id for m in space.modes[:mode_id]
-            if space.is_fermion(m.id) and fermion_family(m) == fermion_family(mode)
+            if space.is_fermion(m.id) and m.mass == mode.mass
         ]
         values = np.where(occ[cols][:, ahead].sum(1) % 2, -values, values)
     rows = rows[cols]
@@ -304,3 +305,38 @@ def test_space_with_built_ladders_is_freed_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+# `ladder._anticommute` replaced by another exchange rule
+EXCHANGE_RULES = {
+    "every fermion its own family": lambda a, b: a.statistics is b.statistics is F and a.id == b.id,
+    "all fermions one family": lambda a, b: a.statistics is b.statistics is F,
+}
+
+
+@pytest.mark.parametrize("rule", sorted(EXCHANGE_RULES))
+def test_exchange_rule_lives_in_one_function(rule):
+    """Patching `ladder._anticommute` alone changes the annihilators'
+    signs, and verify, which reads the same function for its brackets,
+    passes every row on the patched ladders."""
+    roster = [(F, 1), (F, 1), (F, 2), (B, 1)]
+    scenario = {
+        "roster": [{"statistics": stats.value, "mass": mass} for stats, mass in roster],
+        "cutoff_s": 3,
+    }
+    space = _space(roster, 3)
+    default = [annihilator(space, i) for i in range(4)]
+    with mock.patch.object(ladder, "_anticommute", EXCHANGE_RULES[rule]):
+        space = _space(roster, 3)
+        patched = [annihilator(space, i) for i in range(4)]
+        report = json.loads(run_cli(["verify"], scenario))
+    pairs = list(zip(default, patched))
+    for a, b in pairs:
+        assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
+        assert np.array_equal(np.abs(a.data), np.abs(b.data))
+    # mode 1 loses mode 0's sign when each fermion is its own family;
+    # mode 2 gains the signs of modes 0 and 1 when all are one family
+    moved = 1 if rule == "every fermion its own family" else 2
+    changed = [not np.array_equal(a.data, b.data) for a, b in pairs]
+    assert changed == [i == moved for i in range(4)]
+    assert [status for *_, status in report["rows"]] == ["pass"] * len(report["rows"])
