@@ -89,19 +89,19 @@ def _parse_roster(scenario):
         stats = _parse_statistics(
             entry.get("statistics", "fermion"), f"roster[{i}].statistics"
         )
-        momentum = entry.get("momentum")
         label = _typed(entry.get("label", f"mode{i}"), f"roster[{i}].label", str)
+        mass = _typed(entry.get("mass", 0), f"roster[{i}].mass", int, minimum=0)
+        momentum = entry.get("momentum")  # absent or null: unlabeled
+        if momentum is not None:
+            where = f"roster[{i}].momentum"
+            if not (isinstance(momentum, list) and len(momentum) == 4):
+                raise ScenarioError(where, "expected [p0, p1, p2, p3]")
+            momentum = tuple(_typed(p, where, int) for p in momentum)
         try:
-            modes.append(
-                ParticleMode(
-                    id=i,
-                    label=label,
-                    statistics=stats,
-                    mass=int(entry.get("mass", 0)),
-                    momentum=tuple(momentum) if momentum else None,
-                )
-            )
-        except (ValueError, TypeError, OverflowError) as exc:  # int(Infinity)
+            modes.append(ParticleMode(
+                id=i, label=label, statistics=stats, mass=mass, momentum=momentum
+            ))
+        except ValueError as exc:  # a momentum off the forward mass shell
             raise ScenarioError(f"roster[{i}]", str(exc)) from exc
     return modes
 
@@ -124,9 +124,13 @@ def _parse_field(space, terms, field_name):
             raise ScenarioError(f"{field_name}[{i}]", "expected {mode, alpha}")
         mode_id = _typed(term["mode"], f"{field_name}[{i}].mode", int)
         alpha = term.get("alpha", [1.0, 0.0])
+        where = f"{field_name}[{i}].alpha"
         if not (isinstance(alpha, list) and len(alpha) == 2):
-            raise ScenarioError(f"{field_name}[{i}].alpha", "expected [re, im]")
-        re, im = (_typed(a, f"{field_name}[{i}].alpha", (int, float)) for a in alpha)
+            raise ScenarioError(where, "expected [re, im]")
+        re, im = (_typed(a, where, (int, float)) for a in alpha)
+        # false for NaN, infinities and integers too large for a float
+        if not all(abs(a) <= sys.float_info.max for a in (re, im)):
+            raise ScenarioError(where, "must be a finite number")
         parsed.append((mode_id, complex(re, im)))
     try:
         return free_field(space, parsed)
@@ -267,16 +271,21 @@ def _run_spectrum(scenario, fmt, tol):
     if not 0 < tol < float("inf"):  # also false for NaN
         raise ScenarioError("tol", "must be a finite number > 0")
     space = _parse_space(scenario)
-    phi = _parse_field(space, _require(scenario, "field"), "field")
-    if "field2" in scenario:
-        op = interaction_field(
-            phi, _parse_field(space, scenario["field2"], "field2")
-        )
-    elif scenario.get("self_interaction"):
-        op = self_interaction(phi)
-    else:
-        op = phi
-    decomp = eigh(op, group_tol=tol)
+    # finite alphas can still overflow the operator or its spectrum: that
+    # is one scenario error below, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _parse_field(space, _require(scenario, "field"), "field")
+        if "field2" in scenario:
+            op = interaction_field(
+                phi, _parse_field(space, scenario["field2"], "field2")
+            )
+        elif scenario.get("self_interaction"):
+            op = self_interaction(phi)
+        else:
+            op = phi
+        decomp = eigh(op, group_tol=tol) if np.isfinite(op.data).all() else None
+    if decomp is None or not np.isfinite([g.value for g in decomp.groups]).all():
+        raise ScenarioError("field", "spectrum is not finite")
     report = {
         "kind": "spectrum",
         "columns": ["lambda", "multiplicity"],
@@ -342,7 +351,7 @@ def _run_scatter(scenario, fmt, enforce, coupling):
 
 def _run_lattice(scenario, fmt, args):
     if scenario is not None:
-        mass = _require(scenario, "mass", int)
+        mass = _require(scenario, "mass", int, minimum=0)
         r = _require(scenario, "r", int)
         x0 = scenario.get("x0")
     else:
@@ -350,7 +359,8 @@ def _run_lattice(scenario, fmt, args):
             raise ScenarioError(
                 "lattice", "--mass and --max-energy (or --scenario) required"
             )
-        mass, r, x0 = args.mass, args.max_energy, args.x0
+        mass = _typed(args.mass, "mass", int, minimum=0)
+        r, x0 = args.max_energy, args.x0
     if x0 is not None:
         x0 = _typed(x0, "x0", int, minimum=0)
     points = hyperboloid(mass, r)

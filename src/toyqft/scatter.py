@@ -4,8 +4,10 @@ Hamiltonian, the scattering operator exp(iH) and transition probabilities.
 The density at a lattice point is the interaction of two free fields,
 one per particle mass; the Hamiltonian averages the density over the
 spatial ball of radius x0 at time x0, computed as the density at the
-origin masked entry-wise by the slice average of the phase by which a
-translation rephases each pair of basis kets (see `hamiltonian`).
+slice centre (x0, 0) masked entry-wise by the ball's average of the phase
+by which a spatial translation rephases each pair of basis kets.  The
+ball is symmetric under each reflection, so that average is real and
+even (see `hamiltonian`).
 """
 
 import functools
@@ -80,18 +82,21 @@ def hamiltonian(space, x0, r, m1, m2, kets=None):
     block on `kets` (rows and columns; every ket by default).
 
     Field coefficients are phase(p, x) / p0 and a(p) lowers a ket's total
-    4-momentum P by p, so tau(x) = D(x) tau(0) D(x)* exactly, with
-    D(x) = diag(i^(-P_n.x)).  The average is tau(0) times M entry by
-    entry, M_mn = avg_x i^((P_n - P_m).x), needed only where tau(0) is
-    nonzero.  Modes the fields do not move cancel in P_n - P_m there.
+    4-momentum P by p, so tau(y + x) = D(x) tau(y) D(x)* exactly, with
+    D(x) = diag(i^(-P_n.x)).  Shifting the slice centre y = (x0, 0) by
+    (0, x), the average is tau(y) times R entry by entry, R_mn =
+    avg_x i^((P_n - P_m).x) over the ball, needed only where tau(y) is
+    nonzero.  The ball is symmetric under each reflection x_i -> -x_i, so
+    R is real and even in each component of P_n - P_m.  Modes the fields
+    do not move cancel in P_n - P_m there.
 
-    With Q the projector on `kets`, the block Q tau(0) Q is
-    ((phi Q)* (psi Q) + (psi Q)* (phi Q)) / 2 for the fields at the
-    origin, and (phi Q)* = Q phi as phi is Hermitian entry for entry: so
-    the left factors keep their entries in Q's rows, the right factors
-    those in Q's columns, and the block holds exactly tau(0)'s terms there.
+    With Q the projector on `kets`, the block Q tau(y) Q is
+    ((phi Q)* (psi Q) + (psi Q)* (phi Q)) / 2 for the fields at y, and
+    (phi Q)* = Q phi as phi is Hermitian entry for entry: so the left
+    factors keep their entries in Q's rows, the right factors those in
+    Q's columns, and the block holds exactly tau(y)'s terms there.
     """
-    left = right = _fields(space, LatticePoint(0), r, m1, m2)
+    left = right = _fields(space, LatticePoint(x0), r, m1, m2)
     if kets is not None:
         inside = np.zeros(space.dimension, dtype=bool)
         inside[kets] = True
@@ -113,57 +118,40 @@ def _entries(op, keep):
     return OperatorMatrix._sorted(op.space, op.rows[keep], op.cols[keep], op.data[keep])
 
 
-# M_mn depends only on d = P_n - P_m mod 4, per component: its class,
-# coded as four 3-bit fields.  The guard bit of each field keeps the
-# difference of two codes from borrowing across fields.
-_FIELD_BITS = (0, 3, 6, 9)
-_FIELD_GUARD, _FIELD_MASK = 0o4444, 0o3333
-
-
 @functools.cache
-def _classes():
-    """(d, codes, spatial): column k of d is the k-th of the 256 classes,
-    codes[k] its code, and spatial[j, k] is -x.d mod 4 for x in residue
-    class j of x mod 4, x = (j >> 4, j >> 2, j) & 3, and d class k.  Built
-    on first use, so importing does no array work."""
-    d = np.arange(256) >> np.arange(0, 8, 2)[:, None] & 3
-    codes = (d << np.array(_FIELD_BITS)[:, None]).sum(0)
-    x = np.arange(64)[:, None] >> np.array([4, 2, 0]) & 3
-    spatial = -x @ d[1:] & 3
-    for array in (d, codes, spatial):
-        array.flags.writeable = False  # shared by every call
-    return d, codes, spatial
+def _cosines():
+    """cos(pi x.d / 2), which is 1, 0 or -1, for x and d in the 64 classes
+    of spatial vectors mod 4, class 16 (v1 & 3) + 4 (v2 & 3) + (v3 & 3).
+    Built on first use, so importing does no array work."""
+    v = np.arange(64)[:, None] >> np.array([4, 2, 0]) & 3
+    cosines = np.array([1, 0, -1, 0])[v @ v.T & 3]
+    cosines.flags.writeable = False  # shared by every call
+    return cosines
 
 
 def _slice_table(x0):
-    """M by class code: with c_k the number of slice points x where
-    d.x = k mod 4, entry code(d) is ((c_0 - c_2) + i(c_1 - c_3)) / |slice|.
+    """R by class of d mod 4: with c_k the number of slice points x where
+    x.d = k mod 4, entry class(d) is (c_0 - c_2) / |slice|.
 
-    d.x mod 4 depends on x only through x mod 4, so each residue class of
-    x mod 4 that holds slice points is turned once and counted as often
-    as it holds them: the same integers as counting point by point."""
+    x.d mod 4 depends on x only through its class, so each class that
+    holds slice points is turned once and counted as often as it holds
+    them: the same integers as counting point by point."""
     points = _slice_points(x0)
-    classes, codes, spatial = _classes()
-    # slice points per residue class j = 16 (x1 & 3) + 4 (x2 & 3) + (x3 & 3)
-    sizes = np.bincount((points[:, 1:] & 3) @ (16, 4, 1), minlength=64)
-    held = sizes.nonzero()[0]
-    # a slice point (x0, x) turns class d by x0 d_0 - x.d mod 4 (x.d - x0 d_0
-    # would conjugate M); class k's quarter-turn counts land at 4k ... 4k + 3
-    turns = ((x0 * classes[0] + spatial[held]) & 3) + 4 * np.arange(256)
-    counts = np.bincount(turns.ravel(), sizes[held].repeat(256), 1024).reshape(256, 4)
-    table = np.zeros(_FIELD_MASK + 1, dtype=complex)
-    table.real[codes] = counts[:, 0] - counts[:, 2]
-    table.imag[codes] = counts[:, 1] - counts[:, 3]
-    table /= len(points)
-    return table
+    sizes = np.bincount((points & 3) @ (16, 4, 1), minlength=64)
+    # times 1 / |slice|, not / |slice| (they differ in the last bit): numpy
+    # divides complex numbers by a real one this way, so R rounds as the
+    # complex per-point average does
+    return sizes @ _cosines() * (1 / len(points))
 
 
 def _slice_mask(space, x0, rows, cols):
-    """M at the entries (rows, cols), M_mn = avg_x i^((P_n - P_m).x) over
-    the slice, read from `_slice_table` by the class of P_n - P_m mod 4."""
+    """R at the entries (rows, cols), R_mn = avg_x i^((P_n - P_m).x) over
+    the slice, read from `_slice_table` by the class of P_n - P_m mod 4.
+    R is even in each component, and per 2-bit component a ^ b is
+    +-(a - b) mod 4, so the class is the XOR of the two kets' classes."""
     momenta, _ = _momentum_table(space)
-    code = ((momenta & 3) << _FIELD_BITS).sum(1)
-    return _slice_table(x0)[((code[cols] | _FIELD_GUARD) - code[rows]) & _FIELD_MASK]
+    code = (momenta[:, 1:] & 3) @ (16, 4, 1)
+    return _slice_table(x0)[code[rows] ^ code[cols]]
 
 
 def scattering_operator(h, coupling=1.0):

@@ -109,14 +109,13 @@ def space_volume(x0):
 
 @functools.cache
 def _slice_points(x0):
-    """The slice {|x| <= x0} at time x0 as integer rows (x0, x1, x2, x3),
-    x1 slowest and x3 fastest; read-only, built once per x0."""
+    """The spatial points {|x| <= x0} of the time-x0 slice as integer rows
+    (x1, x2, x3), x1 slowest and x3 fastest; read-only, built once per x0."""
     if x0 < 0:
         raise ValueError("time coordinate must be nonnegative")
     axis = np.arange(-x0, x0 + 1, dtype=np.int64)
     x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
-    x = x[(x * x).sum(1) <= x0 * x0]
-    points = np.column_stack([np.full(len(x), x0, dtype=np.int64), x])
+    points = x[(x * x).sum(1) <= x0 * x0]
     points.flags.writeable = False  # shared by every call
     return points
 

@@ -344,6 +344,52 @@ def test_negative_x0_exit_2(tmp_path, capsys, command):
     assert err.startswith("scenario error: x0:")
 
 
+@pytest.mark.parametrize("command", ["lattice", "lattice-flags"])
+def test_negative_mass_exit_2(tmp_path, capsys, command):
+    if command == "lattice":
+        argv = ["lattice", "--scenario", write_scenario(tmp_path, {"mass": -1, "r": 2})]
+    else:
+        argv = ["lattice", "--mass", "-1", "--max-energy", "2"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("scenario error: mass:")
+
+
+@pytest.mark.parametrize("momentum", [None, [1, 0, 0, 0], [2, 1, -1, -1]])
+def test_roster_momentum_null_or_four_ints(tmp_path, capsys, momentum):
+    """A null momentum leaves the mode unlabeled; four ints on the mode's
+    mass shell label it."""
+    mass = 1 if momentum is None else momentum[0] ** 2 - sum(p * p for p in momentum[1:])
+    roster = [{"statistics": "boson", "mass": mass, "momentum": momentum}]
+    path = write_scenario(tmp_path, {"roster": roster, "cutoff_s": 1})
+    assert run(capsys, ["dims", "--scenario", path]) == (
+        0, '{"columns":["quantity","value"],"kind":"dims","rows":[["dimension",2]]}\n', ""
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha, extra, message",
+    [
+        ([float("nan"), 0], {}, "field[0].alpha: must be a finite number"),
+        ([float("inf"), 0], {}, "field[0].alpha: must be a finite number"),
+        ([float("inf"), 0], {"self_interaction": True}, "field[0].alpha: must be a finite number"),
+        ([1e308, 1e308], {}, "field: spectrum is not finite"),
+        ([1e200, 0], {"self_interaction": True}, "field: spectrum is not finite"),
+    ],
+    ids=["nan", "inf", "inf-self", "overflow", "overflow-self"],
+)
+def test_spectrum_never_prints_non_finite_values(tmp_path, capsys, alpha, extra, message):
+    """Non-finite alphas, and finite ones whose operator or spectrum
+    overflows, exit 2 with one scenario error line and no warning."""
+    scenario = dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": alpha}, {"mode": 1}], **extra)
+    path = write_scenario(tmp_path, scenario)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["spectrum", "--scenario", path])
+    assert (code, out, err) == (2, "", f"scenario error: {message}\n")
+    assert caught == []
+
+
 MALFORMED = {
     "state-id-str": ("scatter", dict(SCATTER_R1, in_state={"modes": [["a", 1]]})),
     "state-pair-short": ("scatter", dict(SCATTER_R1, in_state={"modes": [[0]]})),
@@ -370,6 +416,19 @@ MALFORMED = {
     "label-null": ("dims", {"roster": [{"label": None}], "cutoff_s": 1, "dump_basis": True}),
     "label-list": ("dims", {"roster": [{"label": ["p"]}], "cutoff_s": 1, "dump_basis": True}),
     "mass-infinity": ("dims", {"roster": [{"mass": float("inf")}], "cutoff_s": 1}),
+    "roster-mass-float": ("dims", {"roster": [{"mass": 1.7}], "cutoff_s": 1}),
+    "roster-mass-bool": ("dims", {"roster": [{"mass": True}], "cutoff_s": 1}),
+    "roster-mass-str": ("dims", {"roster": [{"mass": "2"}], "cutoff_s": 1}),
+    "roster-mass-negative": ("dims", {"roster": [{"mass": -1}], "cutoff_s": 1}),
+    "momentum-float": ("dims", {"roster": [{"momentum": [1.0, 1.0, 0, 0]}], "cutoff_s": 1}),
+    "momentum-str": ("dims", {"roster": [{"momentum": "abc"}], "cutoff_s": 1}),
+    "momentum-short": ("dims", {"roster": [{"momentum": [1, 0]}], "cutoff_s": 1}),
+    "momentum-nested": ("dims", {"roster": [{"momentum": [[1], 1, 0, 0]}], "cutoff_s": 1}),
+    "momentum-empty": ("dims", {"roster": [{"momentum": []}], "cutoff_s": 1}),
+    "field-alpha-nan": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [float("nan"), 0]}])),
+    "field-alpha-inf": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [0, float("inf")]}])),
+    "field-alpha-huge-int": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [10**400, 0]}])),
+    "field-alpha-overflow": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [1e308, 1e308]}])),
 }
 
 
@@ -393,6 +452,17 @@ def test_in_state_checked_before_hamiltonian(tmp_path, capsys, monkeypatch, name
     code, out, err = run(capsys, [command, "--scenario", write_scenario(tmp_path, scenario)])
     assert (code, out) == (2, "")
     assert err.startswith("scenario error:")
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in MALFORMED if name.startswith(("roster-mass-", "momentum-"))]
+)
+def test_roster_errors_name_the_field(tmp_path, capsys, name):
+    command, scenario = MALFORMED[name]
+    field = "mass" if name.startswith("roster-mass-") else "momentum"
+    code, out, err = run(capsys, [command, "--scenario", write_scenario(tmp_path, scenario)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"scenario error: roster[0].{field}: ") and err.count("\n") == 1
 
 
 SPECTRUM_K3 = dict(FERMION_ROSTER_K3, field=[{"mode": 0}, {"mode": 1, "alpha": [0.0, 1.0]}])

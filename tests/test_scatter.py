@@ -25,7 +25,7 @@ from toyqft import (
 from toyqft import cli, spacetime
 from toyqft.errors import EmptyRoster
 from toyqft.ladder import OperatorMatrix
-from toyqft.scatter import _FIELD_MASK, _classes, _momentum_table, _slice_mask, _slice_table
+from toyqft.scatter import _momentum_table, _slice_mask, _slice_table
 from toyqft.spacetime import _slice_points, phase
 from toyqft.spectral import _Sector, apply_unitary_exp
 
@@ -41,7 +41,7 @@ def boson_space(m1=1, m2=1, r=1, s=2):
 
 def space_slice(x0):
     """Lattice points (x0, x) with |x| <= x0, in the slice's order."""
-    return [LatticePoint(x0, tuple(x)) for x in _slice_points(x0)[:, 1:].tolist()]
+    return [LatticePoint(x0, tuple(x)) for x in _slice_points(x0).tolist()]
 
 
 def column(s, in_state):
@@ -207,8 +207,10 @@ DENSITY_CASES = [(st, r, x0) for st in ("BB", "FB") for r in (1, 2, 3) for x0 in
     "stats, r, x0", DENSITY_CASES, ids=[f"{st}-r{r}-x{x0}" for st, r, x0 in DENSITY_CASES]
 )
 def test_hamiltonian_is_density_times_slice_mask(stats, r, x0):
-    """The default call, entry for entry and bit for bit: tau(0) from
-    interaction_field times the slice average of d_k[m] conj(d_k[n])."""
+    """The default call, entry for entry and bit for bit up to the sign
+    of zeros (x + 0.0 turns -0.0 into 0.0 and keeps every other bit):
+    tau(0) from interaction_field times the slice average of
+    d_k[m] conj(d_k[n])."""
     space = build_space(build_roster(1, 1, r, *STATS[stats]), 2)
     tau = hamiltonian_density(space, LatticePoint(0), r, 1, 1)
     points = space_slice(x0)
@@ -220,58 +222,60 @@ def test_hamiltonian_is_density_times_slice_mask(stats, r, x0):
     h = hamiltonian(space, x0, r, 1, 1)
     assert np.array_equal(h.rows, tau.rows[keep])
     assert np.array_equal(h.cols, tau.cols[keep])
-    assert h.data.tobytes() == data[keep].tobytes()
+    assert (h.data + 0.0).tobytes() == (data[keep] + 0.0).tobytes()
 
 
 def _slice_mask_by_point(space, x0, rows, cols):
     """The slice mask counted one slice point at a time: per entry, the
-    quarter turns (P_n - P_m).x mod 4 of each point."""
-    points = space_slice(x0)
+    quarter turns (P_n - P_m).x mod 4 of each point, from the true
+    difference of the two kets' spatial momenta."""
+    points = _slice_points(x0)
     momenta, _ = _momentum_table(space)
-    g = np.array([x.as_tuple() for x in points]) * (1, -1, -1, -1)
+    d = momenta[cols, 1:] - momenta[rows, 1:]
     real = np.zeros(len(rows), dtype=np.int32)
     imag = np.zeros(len(rows), dtype=np.int32)
-    for t in ((g @ momenta.T) % 4).astype(np.int8):
-        k = (t[cols] - t[rows]) & 3
+    for x in points:
+        k = d @ x & 3
         real += k == 0
         real -= k == 2
         imag += k == 1
         imag -= k == 3
-    mask = np.empty(len(rows), dtype=complex)
-    mask.real, mask.imag = real, imag
-    mask /= len(points)
-    return mask
+    # the ball is symmetric under x -> -x: the average is real
+    assert not imag.any()
+    return real * (1 / len(points))
 
 
 @pytest.mark.parametrize("stats", ["BB", "FB"])
 @pytest.mark.parametrize("x0", [0, 1, 2, 3])
 def test_slice_mask_by_class_matches_per_point_count(stats, x0):
-    """The 256-class table gives the per-point count bit for bit on any
-    entries, also where the mask is complex (odd x0: the slice is
-    symmetric under x -> -x, so only x0 (P_n - P_m)_0 can give quarter
-    turns); swapping rows and columns conjugates it."""
+    """The 64-class real table read by XOR gives the per-point count bit
+    for bit on any entries; it has no direction, so swapping rows and
+    columns leaves its bytes as they are."""
     space = build_space(build_roster(1, 1, 2, *STATS[stats]), 2)
     rng = np.random.default_rng(x0)
     rows, cols = rng.integers(0, space.dimension, size=(2, 4000))
     mask = _slice_mask(space, x0, rows, cols)
+    assert mask.dtype == np.float64
     assert mask.tobytes() == _slice_mask_by_point(space, x0, rows, cols).tobytes()
-    assert np.array_equal(_slice_mask(space, x0, cols, rows), mask.conj())
-    assert (np.count_nonzero(mask.imag) > 0) == (x0 % 2 == 1)
+    assert _slice_mask(space, x0, cols, rows).tobytes() == mask.tobytes()
 
 
 @pytest.mark.parametrize("x0", range(9))
 def test_slice_table_matches_per_point_count(x0):
     """The table from the slice's residue classes mod 4 is the one from
-    counting each slice point's quarter turns, bit for bit."""
+    counting each slice point's quarter turns, bit for bit, and it is even
+    in each component of d mod 4."""
     points = _slice_points(x0)
-    classes, codes, _ = _classes()
-    turns = (points * (1, -1, -1, -1)) @ classes & 3  # one row per point
+    d = np.arange(64)[:, None] >> np.array([4, 2, 0]) & 3  # class k's d
+    turns = points @ d.T & 3  # one row per point
     counts = np.array([np.bincount(t, minlength=4) for t in turns.T])
-    table = np.zeros(_FIELD_MASK + 1, dtype=complex)
-    table.real[codes] = counts[:, 0] - counts[:, 2]
-    table.imag[codes] = counts[:, 1] - counts[:, 3]
-    table /= len(points)
+    assert np.array_equal(counts[:, 1], counts[:, 3])  # no imaginary part
+    table = (counts[:, 0] - counts[:, 2]) * (1 / len(points))
     assert _slice_table(x0).tobytes() == table.tobytes()
+    for axis in range(3):
+        flipped = d.copy()
+        flipped[:, axis] = -flipped[:, axis] & 3
+        assert np.array_equal(table[flipped @ (16, 4, 1)], table)
 
 
 GAUGE_CASES = [
