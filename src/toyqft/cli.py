@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -32,6 +33,9 @@ SEED_ENV = "TOYQFT_SEED"
 # products with H on the in-state's kets, ρ ≤ ‖H‖₁ the bound the series
 # scales by, so |g|·‖H‖₁ is a conservative ceiling on that cost.
 COUPLING_BOUND = 1e4
+# Largest kets x modes, the size of a space's count table, that a scenario
+# may ask for (128 MiB of int64 counts); checked before the space is built.
+SPACE_BUDGET = 2**24
 # Options that take a float: argparse reads a separate "-inf", "-nan" or
 # "-1e5" after them as an option, so main joins it on, as in "--tol=-inf".
 _FLOAT_OPTIONS = ("--tol", "--coupling")
@@ -106,9 +110,22 @@ def _parse_roster(scenario):
     return modes
 
 
+def _check_size(modes, cutoff):
+    """ScenarioError naming cutoff_s if the space of `modes` at `cutoff`
+    holds more than SPACE_BUDGET kets x modes: its kets are counted in
+    closed form, k fermions and at most cutoff - k bosons at a time."""
+    fermions = sum(m.statistics is Statistics.FERMION for m in modes)
+    bosons, kets = len(modes) - fermions, 0
+    for k in range(min(fermions, cutoff) + 1):
+        kets += math.comb(fermions, k) * math.comb(bosons + cutoff - k, bosons)
+        if kets * len(modes) > SPACE_BUDGET:
+            raise ScenarioError("cutoff_s", f"space exceeds {SPACE_BUDGET} kets x modes")
+
+
 def _parse_space(scenario):
     modes = _parse_roster(scenario)
     cutoff = _require(scenario, "cutoff_s", int, minimum=1)
+    _check_size(modes, cutoff)
     try:
         return build_space(modes, cutoff)
     except ToyQFTError as exc:
@@ -311,9 +328,10 @@ def _run_scatter(scenario, fmt, enforce, coupling):
     s2 = _parse_statistics(stats[1], "statistics[1]")
     try:
         roster = build_roster(mass1, mass2, r, s1, s2)
-        space = build_space(roster, cutoff)
     except ToyQFTError as exc:
         raise ScenarioError("scatter", str(exc)) from exc
+    _check_size(roster, cutoff)
+    space = build_space(roster, cutoff)
     n_in = _parse_state(space, _require(scenario, "in_state"), "in_state")
     # each field moves one count by 1, so H keeps the in-state's (-1)^N
     parity = space.occupations.sum(1) % 2
@@ -352,7 +370,7 @@ def _run_scatter(scenario, fmt, enforce, coupling):
 def _run_lattice(scenario, fmt, args):
     if scenario is not None:
         mass = _require(scenario, "mass", int, minimum=0)
-        r = _require(scenario, "r", int)
+        r = _require(scenario, "r", int, minimum=0)
         x0 = scenario.get("x0")
     else:
         if args.mass is None or args.max_energy is None:
@@ -360,7 +378,8 @@ def _run_lattice(scenario, fmt, args):
                 "lattice", "--mass and --max-energy (or --scenario) required"
             )
         mass = _typed(args.mass, "mass", int, minimum=0)
-        r, x0 = args.max_energy, args.x0
+        r = _typed(args.max_energy, "max_energy", int, minimum=0)
+        x0 = args.x0
     if x0 is not None:
         x0 = _typed(x0, "x0", int, minimum=0)
     points = hyperboloid(mass, r)

@@ -20,11 +20,13 @@ class Statistics(Enum):
 
 @dataclass(frozen=True)
 class ParticleMode:
-    """One particle species: identity, statistics, mass, optional 4-momentum.
+    """One particle mode: identity, statistics, mass, optional 4-momentum
+    and roster block.
 
     Mass is in units of the lattice energy quantum.  If a momentum
     (p0, p1, p2, p3) is attached it must lie on the forward mass shell:
-    p0 >= 0 and p0^2 - |p|^2 = mass^2.
+    p0 >= 0 and p0^2 - |p|^2 = mass^2.  A species is one (block, mass);
+    `build_roster` sets blocks 0 and 1, and a JSON roster none.
     """
 
     id: int
@@ -32,6 +34,7 @@ class ParticleMode:
     statistics: Statistics
     mass: int = 0
     momentum: tuple | None = None
+    block: int | None = None
 
     def __post_init__(self):
         if self.mass < 0:

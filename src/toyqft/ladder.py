@@ -137,14 +137,13 @@ def _row_join(cols, rows, n):
 
 
 def _anticommute(a, b):
-    """Whether modes a and b anticommute: two fermions of one mass, so
-    also each fermion with itself.  Every other pair commutes.
-
-    Mass stands in for species: two equal-mass fermion blocks, as in
-    `build_roster(m, m, r, FERMION, FERMION)`, anticommute as one species.
-    An explicit species field would fix that (ROADMAP item 5).
-    """
-    return a.statistics is b.statistics is Statistics.FERMION and a.mass == b.mass
+    """Whether modes a and b anticommute: two fermions of one species,
+    equal (block, mass), so also each fermion with itself.  Every other
+    pair commutes: the two blocks of `build_roster` even at equal mass."""
+    return (
+        a.statistics is b.statistics is Statistics.FERMION
+        and (a.block, a.mass) == (b.block, b.mass)
+    )
 
 
 def zero(space):

@@ -2,7 +2,7 @@
 Hamiltonian, the scattering operator exp(iH) and transition probabilities.
 
 The density at a lattice point is the interaction of two free fields,
-one per particle mass; the Hamiltonian averages the density over the
+one per roster block; the Hamiltonian averages the density over the
 spatial ball of radius x0 at time x0, computed as the density at the
 slice centre (x0, 0) masked entry-wise by the ball's average of the phase
 by which a spatial translation rephases each pair of basis kets.  The
@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .errors import EmptyRoster
+from .errors import EmptyRoster, UnknownMode
 from .fields import interaction_field
 from .fock import ParticleMode, Statistics
 from .ladder import OperatorMatrix
@@ -24,23 +24,15 @@ from .spectral import eigh, unitary_exp
 
 def build_roster(mass1, mass2, r, statistics1=Statistics.BOSON,
                  statistics2=Statistics.BOSON):
-    """One mode per point of each mass hyperboloid (p0 <= r), mass-1
-    block first.  Mode ids and momenta are deterministic."""
+    """One mode per point of each mass hyperboloid (p0 <= r): block 0 of
+    mass1, then block 1 of mass2, each its own species.  Mode ids and
+    momenta are deterministic."""
     modes = []
-    for mass, stats, tag in (
-        (mass1, statistics1, "a"),
-        (mass2, statistics2, "b"),
-    ):
-        for p in _block(mass, r):
-            modes.append(
-                ParticleMode(
-                    id=len(modes),
-                    label=f"{tag}{p.as_tuple()}",
-                    statistics=stats,
-                    mass=mass,
-                    momentum=p.as_tuple(),
-                )
-            )
+    blocks = [(mass1, statistics1, "a"), (mass2, statistics2, "b")]
+    for block, (mass, stats, tag) in enumerate(blocks):
+        for point in _block(mass, r):
+            p = point.as_tuple()
+            modes.append(ParticleMode(len(modes), f"{tag}{p}", stats, mass, p, block))
     return modes
 
 
@@ -54,17 +46,18 @@ def _block(mass, r):
 
 
 def _fields(space, x, r, m1, m2):
-    """The mass-m1 and mass-m2 block fields at lattice point x."""
-    n1, n2 = (len(_block(m, r)) for m in (m1, m2))
-    ids = [m.id for m in space.modes]
-    return (
-        field_at(space, x, r, m1, mode_ids=ids[:n1]),
-        field_at(space, x, r, m2, mode_ids=ids[n1:n1 + n2]),
-    )
+    """The fields of roster blocks 0 and 1 at lattice point x, of masses
+    m1 and m2; UnknownMode unless each block is its mass's shell at r."""
+    sizes = [len(_block(m, r)) for m in (m1, m2)]
+    blocks = [[mode.id for mode in space.modes if mode.block == b] for b in (0, 1)]
+    fields = [field_at(space, x, r, m, ids) for m, ids in zip((m1, m2), blocks)]
+    if list(map(len, blocks)) != sizes:
+        raise UnknownMode(f"roster blocks are not the mass-{m1} and mass-{m2} shells at r={r}")
+    return fields
 
 
 def hamiltonian_density(space, x, r, m1, m2):
-    """Interaction of the two mass-block fields at lattice point x."""
+    """Interaction of the two block fields at lattice point x."""
     return interaction_field(*_fields(space, x, r, m1, m2))
 
 

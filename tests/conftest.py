@@ -42,12 +42,12 @@ def canonicalize(space, raw):
     """Bring a raw mode-id sequence to canonical occupation form.
 
     Returns (OccupationState, sign) where the sign is the product of the
-    permutation parities of the same-mass fermion subsequences, or None
-    when a fermion id repeats (the ket is annihilated).  Boson entries
-    carry no sign, and neither does any interchange of fermions of
-    distinct masses.  The sign oracle for the library's ladders: it
-    states the exchange rule on its own, two fermions of one mass
-    anticommute.
+    permutation parities of the one-species fermion subsequences, or None
+    when a fermion id repeats (the ket is annihilated).  A species is one
+    (block, mass).  Boson entries carry no sign, and neither does any
+    interchange of fermions of distinct species.  The sign oracle for the
+    library's ladders: it states the exchange rule on its own, two
+    fermions of one species anticommute.
     """
     fermion_seq = []
     boson_counts = {}
@@ -60,9 +60,9 @@ def canonicalize(space, raw):
     if len(set(fermion_seq)) != len(fermion_seq):
         return None
     sign = 1
-    masses = {space.mode(f).mass for f in fermion_seq}
-    for mass in masses:
-        sub = [f for f in fermion_seq if space.mode(f).mass == mass]
+    species = [(space.mode(f).block, space.mode(f).mass) for f in fermion_seq]
+    for one in set(species):
+        sub = [f for f, kind in zip(fermion_seq, species) if kind == one]
         sign *= _permutation_sign(sub)
     state = OccupationState(
         tuple(sorted(fermion_seq)),

@@ -355,6 +355,51 @@ def test_negative_mass_exit_2(tmp_path, capsys, command):
     assert err.startswith("scenario error: mass:")
 
 
+@pytest.mark.parametrize("command", ["lattice", "lattice-flags"])
+def test_negative_max_energy_exit_2(tmp_path, capsys, command):
+    if command == "lattice":
+        argv = ["lattice", "--scenario", write_scenario(tmp_path, {"mass": 1, "r": -5})]
+        field = "r"
+    else:
+        argv = ["lattice", "--mass", "1", "--max-energy", "-5"]
+        field = "max_energy"
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"scenario error: {field}: must be >= 0\n")
+
+
+# A space of C(60, 20) kets (dims) and one of C(62, 20) (scatter, r=3)
+OVERSIZED = {
+    "dims": {"roster": [{"statistics": "boson"}] * 40, "cutoff_s": 20},
+    "scatter": dict(SCATTER_R1, r=3, cutoff_s=20),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZED))
+def test_oversized_space_exits_2_before_it_is_built(tmp_path, capsys, monkeypatch, command):
+    def unreachable(*args):
+        raise AssertionError("space built above the size budget")
+
+    monkeypatch.setattr(cli, "build_space", unreachable)
+    path = write_scenario(tmp_path, OVERSIZED[command])
+    code, out, err = run(capsys, [command, "--scenario", path])
+    assert (code, out) == (2, "")
+    assert err == f"scenario error: cutoff_s: space exceeds {cli.SPACE_BUDGET} kets x modes\n"
+
+
+@pytest.mark.parametrize("fermions, bosons, s", [(0, 3, 4), (3, 0, 5), (2, 3, 3), (4, 2, 2)])
+def test_size_budget_counts_kets_exactly(tmp_path, capsys, monkeypatch, fermions, bosons, s):
+    """A space of exactly SPACE_BUDGET kets x modes is built; one entry
+    less of budget and it exits 2."""
+    roster = [{"statistics": "fermion"}] * fermions + [{"statistics": "boson"}] * bosons
+    path = write_scenario(tmp_path, {"roster": roster, "cutoff_s": s})
+    modes = [ParticleMode(i, "", Statistics(e["statistics"])) for i, e in enumerate(roster)]
+    monkeypatch.setattr(cli, "SPACE_BUDGET", build_space(modes, s).dimension * len(modes))
+    assert run(capsys, ["dims", "--scenario", path])[0] == 0
+    monkeypatch.setattr(cli, "SPACE_BUDGET", cli.SPACE_BUDGET - 1)
+    code, out, err = run(capsys, ["dims", "--scenario", path])
+    assert (code, out) == (2, "") and err.startswith("scenario error: cutoff_s: ")
+
+
 @pytest.mark.parametrize("momentum", [None, [1, 0, 0, 0], [2, 1, -1, -1]])
 def test_roster_momentum_null_or_four_ints(tmp_path, capsys, momentum):
     """A null momentum leaves the mode unlabeled; four ints on the mode's
@@ -429,6 +474,7 @@ MALFORMED = {
     "field-alpha-inf": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [0, float("inf")]}])),
     "field-alpha-huge-int": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [10**400, 0]}])),
     "field-alpha-overflow": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [1e308, 1e308]}])),
+    "lattice-r-negative": ("lattice", {"mass": 1, "r": -5}),
 }
 
 
@@ -504,6 +550,31 @@ def test_non_finite_option_value_in_either_spelling(
     code, out, err = run(capsys, [command, "--scenario", path, *value_args])
     assert (code, out) == (2, "")
     assert err.startswith(f"scenario error: {flag[2:]}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "masses, r, s, x0, stats, modes",
+    [
+        ((1, 1), 2, 3, 1, ["boson", "boson"], [[0, 1], [9, 1]]),
+        ((1, 2), 3, 2, 2, ["fermion", "boson"], [[0, 1], [21, 1]]),
+        ((1, 1), 2, 2, 1, ["fermion", "fermion"], [[0, 1], [9, 1]]),
+    ],
+    ids=["bb-r2-s3-x1", "fb-m12-r3-s2-x2", "ff-m11-r2-s2-x1"],
+)
+@pytest.mark.parametrize("g", ["0.7", "2.5"])
+def test_scatter_is_even_in_the_coupling(tmp_path, capsys, masses, r, s, x0, stats, modes, g):
+    """H is chiral, so S(-g) = Gamma S(g) Gamma with Gamma diagonal +-1:
+    scatter prints the same bytes at -g as at g but for `coupling`."""
+    scenario = {
+        "mass1": masses[0], "mass2": masses[1], "r": r, "cutoff_s": s, "x0": x0,
+        "statistics": stats, "in_state": {"modes": modes},
+    }
+    path = write_scenario(tmp_path, scenario)
+    for fmt in ("json", "table"):
+        argv = ["scatter", "--scenario", path, "--format", fmt, "--coupling"]
+        plus, minus = (run(capsys, argv + [value]) for value in (g, "-" + g))
+        assert plus[0] == 0 and len(plus[1]) > 100
+        assert minus == (0, plus[1].replace(f'"coupling":{g}', f'"coupling":-{g}'), "")
 
 
 def test_negative_option_value_as_separate_argument(tmp_path, capsys):

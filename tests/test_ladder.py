@@ -184,13 +184,16 @@ ORACLE_SPACES = {
         for pair, stats in PAIRS.items()
         for s in range(1, 5)
     },
+    # two fermion blocks of one mass: two species, which commute
+    **{f"roster-FF-m11-r2-s{s}": (build_roster(1, 1, 2, F, F), s) for s in range(1, 5)},
 }
 
 
 def reference_creator(space, mode_id):
-    """a* from the defining action: prepend the mode to each ket's raw
-    sequence and canonicalize, times sqrt of the new count."""
-    mat = np.zeros((space.dimension, space.dimension), dtype=complex)
+    """a*'s entries as (row, col, value), in (row, col) order, from the
+    defining action: prepend the mode to each ket's raw sequence and
+    canonicalize, times sqrt of the new count."""
+    entries = []
     for col, state in enumerate(space.basis):
         hit = canonicalize(space, (mode_id,) + state.encoding())
         if hit is None:
@@ -200,8 +203,12 @@ def reference_creator(space, mode_id):
             row = space.index_of(target)
         except NotInBasis:
             continue
-        mat[row, col] = sign * np.sqrt(target.count_of(mode_id))
-    return mat
+        entries.append((row, col, sign * np.sqrt(target.count_of(mode_id))))
+    return sorted(entries)
+
+
+def _entries(op):
+    return list(zip(op.rows.tolist(), op.cols.tolist(), op.data.tolist()))
 
 
 @pytest.mark.parametrize("name", ORACLE_SPACES)
@@ -209,8 +216,10 @@ def test_ladder_matches_canonicalize_reference(name):
     space = build_space(*ORACLE_SPACES[name])
     for mode in space.modes:
         expected = reference_creator(space, mode.id)
-        assert np.array_equal(creator(space, mode.id).mat, expected)
-        assert np.array_equal(annihilator(space, mode.id).mat, expected.T)
+        assert _entries(creator(space, mode.id)) == expected
+        assert _entries(annihilator(space, mode.id)) == sorted(
+            (col, row, value) for row, col, value in expected
+        )
 
 
 def test_space_mismatch_rejected():

@@ -14,7 +14,9 @@ from toyqft import (
     Statistics,
     build_roster,
     build_space,
+    commutator,
     eigh,
+    field_at,
     hamiltonian,
     hamiltonian_density,
     hyperboloid,
@@ -23,7 +25,7 @@ from toyqft import (
     unitary_exp,
 )
 from toyqft import cli, spacetime
-from toyqft.errors import EmptyRoster
+from toyqft.errors import EmptyRoster, UnknownMode
 from toyqft.ladder import OperatorMatrix
 from toyqft.scatter import _momentum_table, _slice_mask, _slice_table
 from toyqft.spacetime import _slice_points, phase
@@ -315,10 +317,49 @@ def test_time_slice_is_a_gauge(stats, masses, r):
         at = tau_keys.searchsorted(h.rows * n + h.cols)
         assert np.array_equal(tau_keys[at], h.rows * n + h.cols)
         aligned = ((momenta[h.cols, 1:] - momenta[h.rows, 1:]) % 4 == 0).all(1)
-        # H is 0 only for two equal-mass fermion blocks at r=1, which
-        # anticommute as one species
-        assert aligned.any() or stats == "FF" and m1 == m2 and r == 1
+        assert aligned.any()
         assert np.array_equal(gauged[aligned], tau.data[at][aligned])
+
+
+CHIRAL_CASES = [
+    (stats, masses, r, s)
+    for stats in STATS
+    for masses in [(1, 1), (1, 2), (2, 1)]
+    for r, s in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]
+    if r >= max(masses)
+]
+
+
+@pytest.mark.parametrize(
+    "stats, masses, r, s",
+    CHIRAL_CASES,
+    ids=[f"{st}-m{m1}{m2}-r{r}-s{s}" for st, (m1, m2), r, s in CHIRAL_CASES],
+)
+def test_hamiltonian_is_chiral(stats, masses, r, s):
+    """Each term of {phi, psi} moves N_A, the count of block 0, by one:
+    every entry of H joins kets of opposite N_A parity, so (-1)^N_A
+    anticommutes with H and every probability is even in the coupling."""
+    m1, m2 = masses
+    space = build_space(build_roster(m1, m2, r, *STATS[stats]), s)
+    block_a = [m.id for m in space.modes if m.block == 0]
+    n_a = space.occupations[:, block_a].sum(1)
+    for x0 in range(3):
+        h = hamiltonian(space, x0, r, m1, m2)
+        assert len(h.data) and ((n_a[h.rows] + n_a[h.cols]) % 2 == 1).all()
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_equal_mass_fermion_blocks_are_two_species(s):
+    """The two fermion blocks of one mass are two species: at r=1 each
+    is one mode at rest, the fields phi and psi commute, and H = phi psi,
+    with phi^2 = psi^2 = 1, has eigenvalues -1, -1, 1, 1.  Were the
+    blocks one species, the fields would anticommute and H would be 0."""
+    space = build_space(build_roster(1, 1, 1, F, F), s)
+    phi, psi = (field_at(space, LatticePoint(0), 1, 1, [i]) for i in (0, 1))
+    assert len(commutator(phi, psi).data) == 0
+    h = hamiltonian(space, 0, 1, 1, 1)
+    assert np.array_equal(h.mat, (phi @ psi).mat)
+    assert np.array_equal(np.linalg.eigvalsh(h.mat), [-1, -1, 1, 1])
 
 
 @pytest.mark.parametrize("x0", [1, 2])
@@ -344,6 +385,16 @@ def test_hamiltonian_rejects_empty_mass_block():
         hamiltonian(space, 0, 0, 1, 1)
     with pytest.raises(EmptyRoster, match="mass-2 hyperboloid empty for r=1"):
         hamiltonian_density(space, LatticePoint(0), 1, 1, 2)
+
+
+def test_hamiltonian_rejects_blocks_of_another_shell():
+    """r, m1 and m2 must name the roster's blocks: block 0 of an r=3
+    roster holds the r=2 shell and more, and block 1 has no mass 2."""
+    space = boson_space(r=3, s=1)
+    with pytest.raises(UnknownMode, match="roster blocks are not"):
+        hamiltonian(space, 0, 2, 1, 1)
+    with pytest.raises(UnknownMode, match="no mass-2 mode"):
+        hamiltonian_density(space, LatticePoint(0), 3, 1, 2)
 
 
 def test_hamiltonian_norm_contraction():

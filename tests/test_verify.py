@@ -68,15 +68,16 @@ def reference_algebra_checks(space, rng):
         eta = alpha * ann[m.id] + alpha.conjugate() * cre[m.id]
         note(rows[1], eta - eta.adjoint())
 
-    # Two fermions of one mass anticommute and every other same-statistics
-    # pair commutes; the boundary rule reuses the i = j bracket [a_i, a_i*].
+    # Two fermions of one species, equal (block, mass), anticommute and
+    # every other same-statistics pair commutes; the boundary rule reuses
+    # the i = j bracket [a_i, a_i*].
     for i, mi in enumerate(modes):
         for j, mj in enumerate(modes):
             if mi.statistics is not mj.statistics:
                 continue
             boson = mi.statistics is Statistics.BOSON
             exchange, number, *boundary = ladder._ROWS[mi.statistics]
-            anti = not boson and mi.mass == mj.mass
+            anti = not boson and (mi.block, mi.mass) == (mj.block, mj.mass)
             bracket = anticommutator if anti else commutator
             note(exchange, bracket(ann[i], ann[j]))
             if boson:
@@ -149,6 +150,22 @@ def test_batched_verify_matches_per_pair_reference(roster, s, seed, mutation):
     assert list(batch.values()) == list(reference.values())
 
 
+@pytest.mark.parametrize("r, s", [(1, 2), (2, 2), (2, 3)])
+def test_verify_keeps_equal_mass_fermion_blocks_apart(r, s):
+    """The two fermion blocks of `build_roster(1, 1, r, F, F)` are two
+    species: the batch matches the per-pair reference, which brackets
+    the blocks by the commutator, every identity holds exactly, and the
+    creator matches the raised-row lookup of the same species."""
+    space = build_space(build_roster(1, 1, r, F, F), s)
+    batch, reference = _both(space, 0, "correct")
+    assert list(batch.items()) == list(reference.items())
+    assert not any(batch.values())
+    for mode in space.modes:
+        c = creator(space, mode.id)
+        for got, ref in zip((c.rows, c.cols, c.data), raised_creator(space, mode.id)):
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_batched_verify_sees_nonzero_violations():
     """The grid is not all zeros: each mutation gives a violation the
     batch must reproduce, and correct ladders give none."""
@@ -215,8 +232,8 @@ def run_cli(argv, scenario):
 def raised_creator(space, mode_id):
     """(rows, cols, data) of a* by its own lookup: each ket's row with the
     mode's count raised by one, found among the kets, with sqrt of the
-    raised count and the sign of the occupied fermions of the same mass
-    ahead: two fermions of one mass anticommute."""
+    raised count and the sign of the occupied fermions of the same species
+    ahead: two fermions of one (block, mass) anticommute."""
     mode = space.mode(mode_id)
     occ = space.occupations
     raised = occ.copy()
@@ -227,7 +244,7 @@ def raised_creator(space, mode_id):
     if space.is_fermion(mode_id):
         ahead = [
             m.id for m in space.modes[:mode_id]
-            if space.is_fermion(m.id) and m.mass == mode.mass
+            if space.is_fermion(m.id) and (m.block, m.mass) == (mode.block, mode.mass)
         ]
         values = np.where(occ[cols][:, ahead].sum(1) % 2, -values, values)
     rows = rows[cols]
