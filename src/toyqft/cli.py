@@ -110,22 +110,23 @@ def _parse_roster(scenario):
     return modes
 
 
-def _check_size(modes, cutoff):
-    """ScenarioError naming cutoff_s if the space of `modes` at `cutoff`
-    holds more than SPACE_BUDGET kets x modes: its kets are counted in
-    closed form, k fermions and at most cutoff - k bosons at a time."""
-    fermions = sum(m.statistics is Statistics.FERMION for m in modes)
-    bosons, kets = len(modes) - fermions, 0
+def _check_size(statistics, cutoff):
+    """ScenarioError naming cutoff_s if the space at `cutoff` of one mode
+    per entry of `statistics` holds more than SPACE_BUDGET kets x modes:
+    its kets are counted in closed form, k fermions and at most cutoff - k
+    bosons at a time."""
+    fermions = statistics.count(Statistics.FERMION)
+    bosons, kets = len(statistics) - fermions, 0
     for k in range(min(fermions, cutoff) + 1):
         kets += math.comb(fermions, k) * math.comb(bosons + cutoff - k, bosons)
-        if kets * len(modes) > SPACE_BUDGET:
+        if kets * len(statistics) > SPACE_BUDGET:
             raise ScenarioError("cutoff_s", f"space exceeds {SPACE_BUDGET} kets x modes")
 
 
 def _parse_space(scenario):
     modes = _parse_roster(scenario)
     cutoff = _require(scenario, "cutoff_s", int, minimum=1)
-    _check_size(modes, cutoff)
+    _check_size([m.statistics for m in modes], cutoff)
     try:
         return build_space(modes, cutoff)
     except ToyQFTError as exc:
@@ -326,11 +327,13 @@ def _run_scatter(scenario, fmt, enforce, coupling):
         raise ScenarioError("statistics", "expected a list of two entries")
     s1 = _parse_statistics(stats[0], "statistics[0]")
     s2 = _parse_statistics(stats[1], "statistics[1]")
+    # each block is one mode per shell point: counted before any is built
+    sizes = {m: len(hyperboloid(m, r)) for m in {mass1, mass2}}
+    _check_size([s1] * sizes[mass1] + [s2] * sizes[mass2], cutoff)
     try:
         roster = build_roster(mass1, mass2, r, s1, s2)
     except ToyQFTError as exc:
         raise ScenarioError("scatter", str(exc)) from exc
-    _check_size(roster, cutoff)
     space = build_space(roster, cutoff)
     n_in = _parse_state(space, _require(scenario, "in_state"), "in_state")
     # each field moves one count by 1, so H keeps the in-state's (-1)^N

@@ -14,7 +14,6 @@ import functools
 
 import numpy as np
 
-from .errors import EmptyRoster, UnknownMode
 from .fields import interaction_field
 from .fock import ParticleMode, Statistics
 from .ladder import OperatorMatrix
@@ -30,30 +29,17 @@ def build_roster(mass1, mass2, r, statistics1=Statistics.BOSON,
     modes = []
     blocks = [(mass1, statistics1, "a"), (mass2, statistics2, "b")]
     for block, (mass, stats, tag) in enumerate(blocks):
-        for point in _block(mass, r):
+        for point in _shell(mass, r):
             p = point.as_tuple()
             modes.append(ParticleMode(len(modes), f"{tag}{p}", stats, mass, p, block))
     return modes
 
 
-def _block(mass, r):
-    """The mass hyperboloid's points with p0 <= r, one mode each in
-    `build_roster`; EmptyRoster if there are none."""
-    points = _shell(mass, r)
-    if not points:
-        raise EmptyRoster(f"mass-{mass} hyperboloid empty for r={r}")
-    return points
-
-
 def _fields(space, x, r, m1, m2):
     """The fields of roster blocks 0 and 1 at lattice point x, of masses
-    m1 and m2; UnknownMode unless each block is its mass's shell at r."""
-    sizes = [len(_block(m, r)) for m in (m1, m2)]
-    blocks = [[mode.id for mode in space.modes if mode.block == b] for b in (0, 1)]
-    fields = [field_at(space, x, r, m, ids) for m, ids in zip((m1, m2), blocks)]
-    if list(map(len, blocks)) != sizes:
-        raise UnknownMode(f"roster blocks are not the mass-{m1} and mass-{m2} shells at r={r}")
-    return fields
+    m1 and m2; `field_at` checks each block is its mass's shell at r."""
+    blocks = ([mode.id for mode in space.modes if mode.block == b] for b in (0, 1))
+    return [field_at(space, x, r, m, ids) for m, ids in zip((m1, m2), blocks)]
 
 
 def hamiltonian_density(space, x, r, m1, m2):

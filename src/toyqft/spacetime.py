@@ -11,7 +11,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DivisionByZeroEnergy, UnknownMode
+from .errors import DivisionByZeroEnergy, EmptyRoster, UnknownMode
 from .fields import free_field
 
 # i^k for k = 0..3
@@ -97,9 +97,12 @@ def hyperboloid(m, r):
 @functools.cache
 def _shell(m, r):
     """hyperboloid(m, r) as a tuple, built once per (m, r): a scatter op
-    reads each block's shell in `build_roster`, `scatter._fields` and
-    `field_at`."""
-    return tuple(hyperboloid(m, r))
+    reads each block's shell in `build_roster` and `field_at`.
+    EmptyRoster if it has no point."""
+    points = tuple(hyperboloid(m, r))
+    if not points:
+        raise EmptyRoster(f"mass-{m} hyperboloid empty for r={r}")
+    return points
 
 
 def space_volume(x0):
@@ -121,30 +124,29 @@ def _slice_points(x0):
 
 
 def field_at(space, x, r, m, mode_ids):
-    """Free field at lattice point x: one AC term per mass-m hyperboloid
-    point with p0 <= r, with coefficient phase(p, x) / p0.
+    """Free field at lattice point x: one AC term per named mode, with
+    coefficient phase(p, x) / p0 for the mode's own momentum p.
 
-    The modes mode_ids must carry one mode per hyperboloid point (matched
-    by 4-momentum); naming them keeps the two blocks of an equal-mass
-    roster apart.  Massless fields are rejected: the p0 = 0 point has no
-    finite coefficient.
+    The named modes must be the mass-m hyperboloid points with p0 <= r,
+    one mode per point (UnknownMode for a point with no mode, then for a
+    mode off the shell or named twice); so the two blocks of an
+    equal-mass roster stay apart.  Massless fields are rejected: the
+    p0 = 0 point has no finite coefficient.
     """
     points = _shell(m, r)
     if any(p.p0 == 0 for p in points):
-        raise DivisionByZeroEnergy(
-            f"mass-{m} hyperboloid contains a zero-energy point"
-        )
-    by_momentum = {
-        mode.momentum: mode
-        for mode in map(space.mode, mode_ids)
-        if mode.momentum is not None and mode.mass == m
-    }
-    terms = []
+        raise DivisionByZeroEnergy(f"mass-{m} hyperboloid contains a zero-energy point")
+    modes = [space.mode(i) for i in mode_ids]
+    named = {mode.momentum for mode in modes}  # a momentum fixes its mode's mass
     for p in points:
-        mode = by_momentum.get(p.as_tuple())
-        if mode is None:
+        if p.as_tuple() not in named:
+            raise UnknownMode(f"roster has no mass-{m} mode with momentum {p.as_tuple()}")
+    unnamed = {p.as_tuple() for p in points}
+    for mode in modes:
+        if mode.momentum not in unnamed:
             raise UnknownMode(
-                f"roster has no mass-{m} mode with momentum {p.as_tuple()}"
+                f"mode {mode.id} is off the mass-{m} shell at r={r} or named twice"
             )
-        terms.append((mode.id, phase(p, x) / p.p0))
+        unnamed.remove(mode.momentum)
+    terms = [(mode.id, phase(mode.momentum, x) / mode.momentum[0]) for mode in modes]
     return free_field(space, terms)

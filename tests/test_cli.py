@@ -32,6 +32,7 @@ from toyqft.cli import emit_report, main
 from toyqft.ladder import OperatorMatrix
 
 from conftest import ket
+from test_catalog import VARIANTS
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -386,6 +387,24 @@ def test_oversized_space_exits_2_before_it_is_built(tmp_path, capsys, monkeypatc
     assert err == f"scenario error: cutoff_s: space exceeds {cli.SPACE_BUDGET} kets x modes\n"
 
 
+def test_scatter_budget_runs_before_the_roster(tmp_path, capsys, monkeypatch):
+    """At r=60, cutoff_s 1 the two shells hold 12,722 modes, 1.6e8 kets x
+    modes: the budget refuses it from the shell sizes alone, and an empty
+    shell still exits 2 on the roster's own error."""
+    def unreachable(*args):
+        raise AssertionError("roster built above the size budget")
+
+    monkeypatch.setattr(cli, "build_roster", unreachable)
+    path = write_scenario(tmp_path, dict(SCATTER_R1, r=60, cutoff_s=1))
+    code, out, err = run(capsys, ["scatter", "--scenario", path])
+    assert (code, out) == (2, "")
+    assert err == f"scenario error: cutoff_s: space exceeds {cli.SPACE_BUDGET} kets x modes\n"
+    monkeypatch.undo()
+    path = write_scenario(tmp_path, dict(SCATTER_R1, mass1=3, r=2))
+    code, out, err = run(capsys, ["scatter", "--scenario", path])
+    assert (code, out, err) == (2, "", "scenario error: scatter: mass-3 hyperboloid empty for r=2\n")
+
+
 @pytest.mark.parametrize("fermions, bosons, s", [(0, 3, 4), (3, 0, 5), (2, 3, 3), (4, 2, 2)])
 def test_size_budget_counts_kets_exactly(tmp_path, capsys, monkeypatch, fermions, bosons, s):
     """A space of exactly SPACE_BUDGET kets x modes is built; one entry
@@ -552,25 +571,36 @@ def test_non_finite_option_value_in_either_spelling(
     assert err.startswith(f"scenario error: {flag[2:]}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "masses, r, s, x0, stats, modes",
-    [
-        ((1, 1), 2, 3, 1, ["boson", "boson"], [[0, 1], [9, 1]]),
-        ((1, 2), 3, 2, 2, ["fermion", "boson"], [[0, 1], [21, 1]]),
-        ((1, 1), 2, 2, 1, ["fermion", "fermion"], [[0, 1], [9, 1]]),
-    ],
-    ids=["bb-r2-s3-x1", "fb-m12-r3-s2-x2", "ff-m11-r2-s2-x1"],
-)
-@pytest.mark.parametrize("g", ["0.7", "2.5"])
-def test_scatter_is_even_in_the_coupling(tmp_path, capsys, masses, r, s, x0, stats, modes, g):
-    """H is chiral, so S(-g) = Gamma S(g) Gamma with Gamma diagonal +-1:
-    scatter prints the same bytes at -g as at g but for `coupling`."""
-    scenario = {
+def _two_block_scatter(masses, r, s, x0, stats, modes):
+    return {
         "mass1": masses[0], "mass2": masses[1], "r": r, "cutoff_s": s, "x0": x0,
         "statistics": stats, "in_state": {"modes": modes},
     }
+
+
+# (g, id, scenario, formats): three scenarios at two couplings in both
+# formats, then every catalog scatter variant at 0.7 in json
+EVEN_IN_THE_COUPLING = [
+    (g, name, _two_block_scatter(*shape), ("json", "table"))
+    for g in ("0.7", "2.5")
+    for name, shape in {
+        "bb-r2-s3-x1": ((1, 1), 2, 3, 1, ["boson", "boson"], [[0, 1], [9, 1]]),
+        "fb-m12-r3-s2-x2": ((1, 2), 3, 2, 2, ["fermion", "boson"], [[0, 1], [21, 1]]),
+        "ff-m11-r2-s2-x1": ((1, 1), 2, 2, 1, ["fermion", "fermion"], [[0, 1], [9, 1]]),
+    }.items()
+] + [("0.7", op.key, op.scenario, ("json",)) for op in VARIANTS if op.command == "scatter"]
+
+
+@pytest.mark.parametrize(
+    "g, scenario, formats",
+    [(g, scenario, formats) for g, _, scenario, formats in EVEN_IN_THE_COUPLING],
+    ids=[f"{g}-{name}" for g, name, _, _ in EVEN_IN_THE_COUPLING],
+)
+def test_scatter_is_even_in_the_coupling(tmp_path, capsys, g, scenario, formats):
+    """H is chiral, so S(-g) = Gamma S(g) Gamma with Gamma diagonal +-1:
+    scatter prints the same bytes at -g as at g but for `coupling`."""
     path = write_scenario(tmp_path, scenario)
-    for fmt in ("json", "table"):
+    for fmt in formats:
         argv = ["scatter", "--scenario", path, "--format", fmt, "--coupling"]
         plus, minus = (run(capsys, argv + [value]) for value in (g, "-" + g))
         assert plus[0] == 0 and len(plus[1]) > 100

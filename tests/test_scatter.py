@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -379,6 +380,94 @@ def test_scattering_is_reciprocal(x0):
     assert np.abs(block - block.T).max() <= 1e-15
 
 
+# (stats, masses, r, s, x0): every statistics pair, r 1-3 and x0 0-3
+CUBIC_CASES = [
+    ("BB", (1, 1), 1, 3, 1),
+    ("BB", (1, 1), 2, 2, 1),
+    ("BB", (1, 1), 2, 3, 2),
+    ("BB", (1, 1), 3, 2, 1),
+    ("FB", (1, 2), 2, 2, 3),
+    ("FB", (1, 2), 3, 2, 1),
+    ("BF", (2, 1), 2, 3, 2),
+    ("BF", (1, 1), 3, 2, 3),
+    ("FF", (1, 1), 1, 2, 0),
+    ("FF", (1, 1), 2, 2, 1),
+    ("FF", (1, 2), 2, 3, 2),
+    ("FF", (2, 1), 3, 2, 0),
+]
+
+
+def cubic_images(space):
+    """For each of the 48 signed permutations g of the spatial axes, the
+    ket g n of every ket n: g maps mode (block, (p0, p)) to (block, (p0,
+    g p)) and each ket's counts with it."""
+    index = {(mode.block, mode.momentum): mode.id for mode in space.modes}
+    for axes in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            image = [
+                index[mode.block, (mode.momentum[0], *(
+                    sign * mode.momentum[1 + axis] for axis, sign in zip(axes, signs)
+                ))]
+                for mode in space.modes
+            ]
+            rows = np.empty_like(space.occupations)
+            rows[:, image] = space.occupations
+            kets = space.find_rows(rows)
+            assert (kets >= 0).all()
+            yield kets
+
+
+@pytest.mark.parametrize(
+    "stats, masses, r, s, x0",
+    CUBIC_CASES,
+    ids=[f"{st}-m{m1}{m2}-r{r}-s{s}-x{x0}" for st, (m1, m2), r, s, x0 in CUBIC_CASES],
+)
+def test_scattering_is_cubic_covariant(stats, masses, r, s, x0):
+    """The 48 signed permutations of the spatial axes map each mass shell
+    and the slice |x| <= x0 to themselves and keep 1/p0, so they commute
+    with H (up to CAR signs, which |amplitude|^2 drops): P(n -> m) =
+    P(gn -> gm) for a seeded in-state n and every out-state m."""
+    m1, m2 = masses
+    space = build_space(build_roster(m1, m2, r, *STATS[stats]), s)
+    h = hamiltonian(space, x0, r, m1, m2)
+    rng = np.random.default_rng([r, s, x0])
+    n_in = int(rng.integers(1, space.dimension))
+
+    def probabilities(n):
+        e_in = np.zeros(space.dimension, dtype=complex)
+        e_in[n] = 1
+        return np.abs(apply_unitary_exp(h, e_in)) ** 2
+
+    expected = probabilities(n_in)
+    columns = {}  # by in-ket: g n is n itself for g in n's stabilizer
+    for g in cubic_images(space):
+        n = int(g[n_in])
+        if n not in columns:
+            columns[n] = probabilities(n)
+        assert np.abs(columns[n][g] - expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_scattering_h_is_a_spectator_union(s):
+    """At x0=0 the slice is one point, so H = 3 X_A X_B at r=2, with X =
+    a + a* of each block's collective mode sum_p a(p) / (p0 sqrt 3)
+    (1 + 8/4 = 3).  The 16 other modes are spectators: with k particles
+    there the collective modes have budget b = s - k, where H is 3 times
+    the r=1 Hamiltonian at cutoff b (0 for b = 0), repeated once per
+    spectator ket, C(15 + k, k) times."""
+    expected = []
+    for b in range(s + 1):
+        values = [0.0]  # budget 0: the vacuum
+        if b:
+            r1 = hamiltonian(build_space(build_roster(1, 1, 1), b), 0, 1, 1, 1)
+            values = 3 * np.linalg.eigvalsh(r1.mat)
+        expected += list(values) * math.comb(15 + s - b, s - b)
+    h = hamiltonian(build_space(build_roster(1, 1, 2), s), 0, 2, 1, 1)
+    values = np.linalg.eigvalsh(h.mat)
+    assert len(values) == len(expected)
+    assert np.abs(values - np.sort(expected)).max() <= 1e-12
+
+
 def test_hamiltonian_rejects_empty_mass_block():
     space = boson_space()
     with pytest.raises(EmptyRoster, match="mass-1 hyperboloid empty for r=0"):
@@ -391,7 +480,7 @@ def test_hamiltonian_rejects_blocks_of_another_shell():
     """r, m1 and m2 must name the roster's blocks: block 0 of an r=3
     roster holds the r=2 shell and more, and block 1 has no mass 2."""
     space = boson_space(r=3, s=1)
-    with pytest.raises(UnknownMode, match="roster blocks are not"):
+    with pytest.raises(UnknownMode, match="mode 9 is off the mass-1 shell at r=2"):
         hamiltonian(space, 0, 2, 1, 1)
     with pytest.raises(UnknownMode, match="no mass-2 mode"):
         hamiltonian_density(space, LatticePoint(0), 3, 1, 2)
@@ -639,9 +728,10 @@ def test_sector_of_a_whole_block_keeps_its_data():
 
 @pytest.mark.parametrize("masses, shells", [((1, 1), [(1, 2)]), ((1, 2), [(1, 2), (2, 2)])])
 def test_scatter_op_builds_each_shell_once(tmp_path, capsys, masses, shells):
-    """One scatter op at r=2, s=2, x0=1 builds each mass shell once: the
-    roster, the fields' block sizes and `field_at` share it, and the two
-    blocks of equal mass share one."""
+    """One scatter op at r=2, s=2, x0=1 builds each cached mass shell
+    once: the roster and `field_at` share it, and the two blocks of equal
+    mass share one.  (The size budget before them counts the points of
+    an uncached `hyperboloid`, through cli's own name.)"""
     scenario = {
         "mass1": masses[0], "mass2": masses[1], "r": 2, "cutoff_s": 2, "x0": 1,
         "in_state": {"modes": [[0, 1], [9, 1]]},

@@ -171,6 +171,31 @@ def test_field_at_missing_mode():
         field_at(space, LatticePoint(0), 2, 1, mode_ids=[0])
 
 
+@pytest.mark.parametrize(
+    "masses, ids, named",
+    [
+        ((1, 1), range(18), 9),  # both equal-mass blocks' ids
+        ((1, 2), range(10), 9),  # the mass-2 mode among the mass-1 ids
+        ((1, 1), [*range(9), 4], 4),  # a repeated id
+    ],
+    ids=["both-blocks", "other-mass", "repeated"],
+)
+def test_field_at_rejects_modes_beyond_the_shell(masses, ids, named):
+    """The named modes must be the shell, one mode per point: a mode off
+    it or a point named twice raises, naming the mode."""
+    space = build_space(build_roster(*masses, 2), 1)
+    with pytest.raises(UnknownMode, match=f"mode {named} is off the mass-1 shell at r=2"):
+        field_at(space, LatticePoint(0), 2, 1, ids)
+
+
+def test_field_at_names_a_missing_point_first():
+    """Mode 9 repeats mode 0's point and no mode names point 8: the
+    missing point is the error."""
+    space = build_space(build_roster(1, 1, 2), 1)
+    with pytest.raises(UnknownMode, match=r"no mass-1 mode with momentum \(2, 1, 1, 1\)"):
+        field_at(space, LatticePoint(0), 2, 1, [*range(8), 9])
+
+
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
         LatticePoint(-1)
