@@ -62,16 +62,23 @@ def _load_scenario(path):
 
 
 def _typed(value, field, kind, minimum=None):
-    """value if it is a `kind` no less than `minimum`; true/false is no number."""
-    if isinstance(value, bool) or not isinstance(value, kind):
+    """value if it is a `kind` no less than `minimum`; true/false is only a bool."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise ScenarioError(field, f"expected {getattr(kind, '__name__', 'number')}")
     if minimum is not None and not value >= minimum:  # NaN is not >= anything
         raise ScenarioError(field, f"must be >= {minimum}")
     return value
 
 
-def _require(scenario, field, kind=None, minimum=None):
+_MISSING = object()
+
+
+def _require(scenario, field, kind=None, minimum=None, default=_MISSING):
+    """scenario[field] checked by `_typed` if `kind` is given; `default`
+    if the field is absent and one is given."""
     if field not in scenario:
+        if default is not _MISSING:
+            return default
         raise ScenarioError(field, "required field missing")
     value = scenario[field]
     return value if kind is None else _typed(value, field, kind, minimum)
@@ -237,18 +244,18 @@ def emit_report(report, fmt):
     raise ScenarioError("format", f"unknown format {fmt!r}")
 
 
-def _run_dims(scenario, fmt):
+def _run_dims(scenario, args):
     space = _parse_space(scenario)
     report = {
         "kind": "dims",
         "columns": ["quantity", "value"],
         "rows": [["dimension", space.dimension]],
     }
-    if scenario.get("dump_basis"):
+    if _require(scenario, "dump_basis", bool, default=False):
         report["basis"] = [state.to_json() for state in space.basis]
         labels = _labels(space, np.arange(space.dimension))
         report["rows"] += [[f"basis[{i}]", label] for i, label in enumerate(labels)]
-    print(emit_report(report, fmt), end="")
+    print(emit_report(report, args.fmt), end="")
     return 0
 
 
@@ -263,7 +270,8 @@ def _algebra_checks(space, rng):
     return algebra_violations(space, ladders, alpha)
 
 
-def _run_verify(scenario, fmt, tol):
+def _run_verify(scenario, args):
+    tol = args.tol
     if not abs(tol) < float("inf"):  # also true for NaN
         raise ScenarioError("tol", "must be a finite number")
     space = _parse_space(scenario)
@@ -281,27 +289,28 @@ def _run_verify(scenario, fmt, tol):
         "columns": ["identity", "max_violation", "status"],
         "rows": rows,
     }
-    print(emit_report(report, fmt), end="")
+    print(emit_report(report, args.fmt), end="")
     return 1 if failed else 0
 
 
-def _run_spectrum(scenario, fmt, tol):
-    if not 0 < tol < float("inf"):  # also false for NaN
+def _run_spectrum(scenario, args):
+    if not 0 < args.tol < float("inf"):  # also false for NaN
         raise ScenarioError("tol", "must be a finite number > 0")
     space = _parse_space(scenario)
     # finite alphas can still overflow the operator or its spectrum: that
     # is one scenario error below, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _parse_field(space, _require(scenario, "field"), "field")
+        square = _require(scenario, "self_interaction", bool, default=False)
         if "field2" in scenario:
             op = interaction_field(
                 phi, _parse_field(space, scenario["field2"], "field2")
             )
-        elif scenario.get("self_interaction"):
+        elif square:
             op = self_interaction(phi)
         else:
             op = phi
-        decomp = eigh(op, group_tol=tol) if np.isfinite(op.data).all() else None
+        decomp = eigh(op, group_tol=args.tol) if np.isfinite(op.data).all() else None
     if decomp is None or not np.isfinite([g.value for g in decomp.groups]).all():
         raise ScenarioError("field", "spectrum is not finite")
     report = {
@@ -309,19 +318,20 @@ def _run_spectrum(scenario, fmt, tol):
         "columns": ["lambda", "multiplicity"],
         "rows": [[g.value, g.multiplicity] for g in decomp.groups],
     }
-    print(emit_report(report, fmt), end="")
+    print(emit_report(report, args.fmt), end="")
     return 0
 
 
-def _run_scatter(scenario, fmt, enforce, coupling):
+def _run_scatter(scenario, args):
+    coupling = args.coupling
     if not abs(coupling) < float("inf"):  # also true for NaN
         raise ScenarioError("coupling", "must be a finite number")
     mass1 = _require(scenario, "mass1", int, minimum=1)
     mass2 = _require(scenario, "mass2", int, minimum=1)
-    r = _require(scenario, "r", int)
+    r = _require(scenario, "r", int, minimum=0)
     cutoff = _require(scenario, "cutoff_s", int, minimum=1)
     x0 = _require(scenario, "x0", int, minimum=0)
-    threshold = _typed(scenario.get("threshold", 0.0), "threshold", (int, float), 0)
+    threshold = _require(scenario, "threshold", (int, float), 0, default=0.0)
     stats = scenario.get("statistics", ["boson", "boson"])
     if not (isinstance(stats, list) and len(stats) == 2):
         raise ScenarioError("statistics", "expected a list of two entries")
@@ -353,7 +363,7 @@ def _run_scatter(scenario, fmt, enforce, coupling):
         apply_unitary_exp(h, e_in, coupling),
         n_in,
         threshold,
-        enforce_conservation=enforce,
+        enforce_conservation=args.enforce_conservation,
     )
     (in_label,) = _labels(space, [n_in])
     report = {
@@ -366,15 +376,15 @@ def _run_scatter(scenario, fmt, enforce, coupling):
             for row in zip(_labels(space, kets), probabilities.tolist(), conserves)
         ],
     }
-    print(emit_report(report, fmt), end="")
+    print(emit_report(report, args.fmt), end="")
     return 0
 
 
-def _run_lattice(scenario, fmt, args):
+def _run_lattice(scenario, args):
     if scenario is not None:
         mass = _require(scenario, "mass", int, minimum=0)
         r = _require(scenario, "r", int, minimum=0)
-        x0 = scenario.get("x0")
+        x0 = _require(scenario, "x0", default=None)
     else:
         if args.mass is None or args.max_energy is None:
             raise ScenarioError(
@@ -396,7 +406,7 @@ def _run_lattice(scenario, fmt, args):
     }
     if x0 is not None:
         report["space_volume"] = {"x0": x0, "volume": space_volume(x0)}
-    print(emit_report(report, fmt), end="")
+    print(emit_report(report, args.fmt), end="")
     return 0
 
 
@@ -410,7 +420,8 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
+    def common(p, run, scenario_required=True):
+        p.set_defaults(run=run)
         p.add_argument(
             "--scenario", required=scenario_required, help="scenario JSON file"
         )
@@ -421,15 +432,15 @@ def _build_parser():
             dest="fmt",
         )
 
-    common(sub.add_parser("dims", help="space dimension report"))
+    common(sub.add_parser("dims", help="space dimension report"), _run_dims)
     p = sub.add_parser("verify", help="operator algebra identity checks")
-    common(p)
+    common(p, _run_verify)
     p.add_argument("--tol", type=float, default=1e-12)
     p = sub.add_parser("spectrum", help="eigenvalue/multiplicity table")
-    common(p)
+    common(p, _run_spectrum)
     p.add_argument("--tol", type=float, default=DEFAULT_GROUP_TOL)
     p = sub.add_parser("scatter", help="scattering probability table")
-    common(p)
+    common(p, _run_scatter)
     p.add_argument("--enforce-conservation", action="store_true")
     p.add_argument(
         "--coupling",
@@ -438,7 +449,7 @@ def _build_parser():
         help="dimensionless factor on H (extension; 1 is the bare model)",
     )
     p = sub.add_parser("lattice", help="mass hyperboloid dump")
-    common(p, scenario_required=False)
+    common(p, _run_lattice, scenario_required=False)
     p.add_argument("--mass", type=int)
     p.add_argument("--max-energy", type=int)
     p.add_argument("--x0", type=int)
@@ -462,23 +473,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_joined_float_values(argv))
     try:
-        if args.command == "lattice":
-            scenario = (
-                _load_scenario(args.scenario) if args.scenario else None
-            )
-            return _run_lattice(scenario, args.fmt, args)
-        scenario = _load_scenario(args.scenario)
-        if args.command == "dims":
-            return _run_dims(scenario, args.fmt)
-        if args.command == "verify":
-            return _run_verify(scenario, args.fmt, args.tol)
-        if args.command == "spectrum":
-            return _run_spectrum(scenario, args.fmt, args.tol)
-        if args.command == "scatter":
-            return _run_scatter(
-                scenario, args.fmt, args.enforce_conservation, args.coupling
-            )
-        raise ScenarioError("command", f"unknown command {args.command!r}")
+        scenario = None if args.scenario is None else _load_scenario(args.scenario)
+        return args.run(scenario, args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,7 @@ from toyqft.cli import emit_report, main
 from toyqft.ladder import OperatorMatrix
 
 from conftest import ket
-from test_catalog import VARIANTS
+from test_catalog import VARIANTS, workloads
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -454,6 +454,9 @@ def test_spectrum_never_prints_non_finite_values(tmp_path, capsys, alpha, extra,
     assert caught == []
 
 
+SPECTRUM_K3 = dict(FERMION_ROSTER_K3, field=[{"mode": 0}, {"mode": 1, "alpha": [0.0, 1.0]}])
+
+
 MALFORMED = {
     "state-id-str": ("scatter", dict(SCATTER_R1, in_state={"modes": [["a", 1]]})),
     "state-pair-short": ("scatter", dict(SCATTER_R1, in_state={"modes": [[0]]})),
@@ -494,15 +497,70 @@ MALFORMED = {
     "field-alpha-huge-int": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [10**400, 0]}])),
     "field-alpha-overflow": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [1e308, 1e308]}])),
     "lattice-r-negative": ("lattice", {"mass": 1, "r": -5}),
+    "roster-off-shell": ("dims", {"roster": [{"mass": 1, "momentum": [1, 1, 0, 0]}], "cutoff_s": 1}),
+    "field-dict": ("spectrum", dict(FERMION_ROSTER_K3, field={"mode": 0})),
+    "field-alpha-short": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [1.0]}])),
+    "state-fermion-count-2": (
+        "scatter", dict(SCATTER_R1, statistics=["fermion", "boson"], in_state={"modes": [[0, 2]]})
+    ),
+    "state-above-cutoff": ("scatter", dict(SCATTER_R1, in_state={"modes": [[0, 3]]})),
+    "statistics-one": ("scatter", dict(SCATTER_R1, statistics=["boson"])),
+    "dump-basis-str": ("dims", dict(FERMION_ROSTER_K3, dump_basis="no")),
+    "self-interaction-str": ("spectrum", dict(SPECTRUM_K3, self_interaction="false")),
+    # a list command is the whole argv, with no scenario file written
+    "lattice-no-max-energy": (["lattice", "--mass", "1"], None),
+    "scenario-empty-path": (["dims", "--scenario", ""], None),
+}
+
+# the start of the stderr line a MALFORMED row prints, where a test pins it
+MALFORMED_MESSAGES = {
+    "roster-off-shell": "roster[0]: mode mode0: momentum (1, 1, 0, 0) off the mass-1 shell",
+    "field-dict": "field: expected list of terms",
+    "field-alpha-short": "field[0].alpha: expected [re, im]",
+    "state-fermion-count-2": "in_state: fermion count must be 1",
+    "state-above-cutoff": "in_state: state outside the basis",
+    "statistics-one": "statistics: expected a list of two entries",
+    "dump-basis-str": "dump_basis: expected bool",
+    "self-interaction-str": "self_interaction: expected bool",
+    "lattice-no-max-energy": "lattice: --mass and --max-energy (or --scenario) required",
+    "scenario-empty-path": "scenario: cannot read",
 }
 
 
-@pytest.mark.parametrize("command, scenario", MALFORMED.values(), ids=MALFORMED)
-def test_malformed_input_exit_2(tmp_path, capsys, command, scenario):
-    path = write_scenario(tmp_path, scenario)
-    code, out, err = run(capsys, [command, "--scenario", path])
+def malformed_argv(tmp_path, name):
+    command, scenario = MALFORMED[name]
+    if isinstance(command, list):
+        return command
+    return [command, "--scenario", write_scenario(tmp_path, scenario)]
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_input_exit_2(tmp_path, capsys, name):
+    code, out, err = run(capsys, malformed_argv(tmp_path, name))
     assert (code, out) == (2, "")
-    assert err.startswith("scenario error:")
+    assert err.startswith("scenario error: " + MALFORMED_MESSAGES.get(name, ""))
+    assert err.count("\n") == 1
+
+
+# (class, op, field): one variant of each catalog class, each of its
+# top-level fields in turn
+WRONG_TYPE = [
+    (name, ops[0], field)
+    for name, ops in workloads.CLASSES.items()
+    for field in sorted(ops[0].scenario)
+]
+
+
+@pytest.mark.parametrize(
+    "op, field",
+    [(op, field) for _, op, field in WRONG_TYPE],
+    ids=[f"{name}-{field}" for name, _, field in WRONG_TYPE],
+)
+def test_wrong_type_field_exits_2_naming_it(tmp_path, capsys, op, field):
+    path = write_scenario(tmp_path, dict(op.scenario, **{field: "x"}))
+    code, out, err = run(capsys, [op.command, "--scenario", path])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"scenario error: {field}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -513,8 +571,7 @@ def test_in_state_checked_before_hamiltonian(tmp_path, capsys, monkeypatch, name
         raise AssertionError("hamiltonian built before in_state was checked")
 
     monkeypatch.setattr(cli, "hamiltonian", unreachable)
-    command, scenario = MALFORMED[name]
-    code, out, err = run(capsys, [command, "--scenario", write_scenario(tmp_path, scenario)])
+    code, out, err = run(capsys, malformed_argv(tmp_path, name))
     assert (code, out) == (2, "")
     assert err.startswith("scenario error:")
 
@@ -523,14 +580,10 @@ def test_in_state_checked_before_hamiltonian(tmp_path, capsys, monkeypatch, name
     "name", [name for name in MALFORMED if name.startswith(("roster-mass-", "momentum-"))]
 )
 def test_roster_errors_name_the_field(tmp_path, capsys, name):
-    command, scenario = MALFORMED[name]
     field = "mass" if name.startswith("roster-mass-") else "momentum"
-    code, out, err = run(capsys, [command, "--scenario", write_scenario(tmp_path, scenario)])
+    code, out, err = run(capsys, malformed_argv(tmp_path, name))
     assert (code, out) == (2, "")
     assert err.startswith(f"scenario error: roster[0].{field}: ") and err.count("\n") == 1
-
-
-SPECTRUM_K3 = dict(FERMION_ROSTER_K3, field=[{"mode": 0}, {"mode": 1, "alpha": [0.0, 1.0]}])
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -220,3 +223,18 @@ def test_bessel_orders_match_array_recurrence(z):
     assert j.tobytes() == reference_bessel_orders(z).tobytes()
     # Neumann's identity J_0^2 + 2 (J_1^2 + J_2^2 + ...) = 1
     assert 2 * np.sum(j[1:] ** 2) + j[0] ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("z", [1e-5, 1e-8, 1e-12, 1e-16])
+def test_bessel_orders_past_the_rescale_match_the_series(z):
+    """At these z the backward recurrence passes 1e250 and is rescaled;
+    each order matches the two-term series
+    J_k(z) = (z/2)^k / k! (1 - (z/2)^2 / (k+1)), summed exactly and
+    rounded once, within 4 ulp."""
+    half = Fraction(z) / 2
+    j = _bessel_orders(z)
+    series = [
+        float(half**k / math.factorial(k) * (1 - half**2 / (k + 1))) for k in range(len(j))
+    ]
+    assert len(j) >= 2
+    assert np.all(np.abs(j - series) <= 4 * np.finfo(float).eps * np.abs(series))
