@@ -88,9 +88,8 @@ def hyperboloid(m, r):
                 p3 = isqrt(rem2)
                 if p3 * p3 != rem2:
                     continue
-                for q3 in ({-p3, p3}):
+                for q3 in (-p3, p3) if p3 else (0,):
                     points.append(EnergyMomentum(p0, (p1, p2, q3)))
-    points.sort(key=lambda ep: ep.as_tuple())
     return points
 
 

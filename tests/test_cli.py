@@ -27,6 +27,7 @@ from toyqft import (
     cli,
     hamiltonian,
     scattering_operator,
+    spacetime,
 )
 from toyqft.cli import emit_report, main
 from toyqft.ladder import OperatorMatrix
@@ -254,8 +255,8 @@ def test_labels_order_counts_empty_and_repeated_labels():
 
 
 def test_scatter_builds_no_state_per_row(tmp_path, capsys):
-    """A scatter op at r=2, s=3 prints its table without FockSpace.states_at:
-    the only OccupationState it makes is the parsed in-state."""
+    """A scatter op at r=2, s=3 prints its table without FockSpace.states_at
+    and makes no OccupationState: the in-state is parsed as a count row."""
     scenario = dict(SCATTER_R1, r=2, cutoff_s=3, in_state={"modes": [[0, 1], [9, 1]]})
     path = write_scenario(tmp_path, scenario)
     calls, made = [], []
@@ -274,7 +275,7 @@ def test_scatter_builds_no_state_per_row(tmp_path, capsys):
         code, out, _ = run(capsys, ["scatter", "--scenario", path])
     assert code == 0 and len(json.loads(out)["rows"]) > 100
     assert calls == []
-    assert made == [OccupationState(bosons=((0, 1), (9, 1)))]
+    assert made == []
 
 
 def test_scatter_enforce_conservation(tmp_path, capsys):
@@ -318,6 +319,23 @@ def test_lattice_flags(capsys):
     report = json.loads(out)
     assert len(report["hyperboloid"]) == 9
     assert report["space_volume"] == {"x0": 1, "volume": 7}
+
+
+def test_lattice_x0_over_the_budget_builds_no_slice(capsys, monkeypatch):
+    """--x0 past the slice grid's share of SPACE_BUDGET exits 2 before
+    any slice is built; x0 = 88 is the last time whose (2·x0+1)³ grid of
+    three coordinates a point fits in 2^24."""
+    def unreachable(x0):
+        raise AssertionError(f"slice built at x0={x0}")
+
+    monkeypatch.setattr(spacetime, "_slice_points", unreachable)
+    argv = ["lattice", "--mass", "1", "--max-energy", "2", "--x0", "1000000"]
+    assert run(capsys, argv) == (
+        2, "", f"scenario error: x0: slice grid exceeds {cli.SPACE_BUDGET} coordinates\n"
+    )
+    assert cli._slice_x0(88) == 88
+    with pytest.raises(cli.ScenarioError, match="^x0: slice grid exceeds"):
+        cli._slice_x0(89)
 
 
 SCATTER_R1 = {
@@ -504,9 +522,16 @@ MALFORMED = {
         "scatter", dict(SCATTER_R1, statistics=["fermion", "boson"], in_state={"modes": [[0, 2]]})
     ),
     "state-above-cutoff": ("scatter", dict(SCATTER_R1, in_state={"modes": [[0, 3]]})),
+    "state-count-huge": ("scatter", dict(SCATTER_R1, in_state={"modes": [[0, 10**24]]})),
     "statistics-one": ("scatter", dict(SCATTER_R1, statistics=["boson"])),
     "dump-basis-str": ("dims", dict(FERMION_ROSTER_K3, dump_basis="no")),
     "self-interaction-str": ("spectrum", dict(SPECTRUM_K3, self_interaction="false")),
+    "spectrum-field2-and-self": (
+        "spectrum", dict(SPECTRUM_K3, field2=[{"mode": 2}], self_interaction=True)
+    ),
+    "field2-null": ("spectrum", dict(SPECTRUM_K3, field2=None)),
+    "x0-huge": ("scatter", dict(SCATTER_R1, x0=100000)),
+    "lattice-x0-huge": ("lattice", {"mass": 1, "r": 2, "x0": 100000}),
     # a list command is the whole argv, with no scenario file written
     "lattice-no-max-energy": (["lattice", "--mass", "1"], None),
     "scenario-empty-path": (["dims", "--scenario", ""], None),
@@ -524,6 +549,12 @@ MALFORMED_MESSAGES = {
     "self-interaction-str": "self_interaction: expected bool",
     "lattice-no-max-energy": "lattice: --mass and --max-energy (or --scenario) required",
     "scenario-empty-path": "scenario: cannot read",
+    "state-id-twice": "in_state: mode 0 listed twice",
+    "state-count-huge": "in_state: state outside the basis",
+    "spectrum-field2-and-self": "self_interaction: cannot be combined with field2",
+    "field2-null": "field2: expected list",
+    "x0-huge": f"x0: slice grid exceeds {cli.SPACE_BUDGET} coordinates",
+    "lattice-x0-huge": f"x0: slice grid exceeds {cli.SPACE_BUDGET} coordinates",
 }
 
 
@@ -1002,6 +1033,57 @@ def test_cli_imports_only_public_toyqft_names():
             names = (node.module or "").split(".") + [alias.name for alias in node.names]
             private += [n for n in names if n.startswith("_") and not n.endswith("__")]
     assert private == []
+
+
+def test_cli_reads_the_scenario_only_through_require():
+    """No cli function but `_require` subscripts `scenario`, calls a
+    method on it or tests a field `in` it: each top-level field has one
+    reader."""
+    def is_scenario(node):
+        return isinstance(node, ast.Name) and node.id == "scenario"
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    direct = [
+        f"{func.name}:{node.lineno}"
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef) and func.name != "_require"
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Subscript, ast.Attribute)) and is_scenario(node.value)
+        or isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+        and any(map(is_scenario, node.comparators))
+    ]
+    assert direct == []
+
+
+# one catalog variant per command, and lattice from its scenario and flags
+RUNNER_CASES = [(op.command, op.scenario) for op in {op.command: op for op in VARIANTS}.values()]
+RUNNER_CASES += [
+    ("dims", dict(FERMION_ROSTER_K3, dump_basis=True)),
+    ("lattice", {"mass": 1, "r": 2, "x0": 1}),
+    (["lattice", "--mass", "1", "--max-energy", "2", "--x0", "1"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "command, scenario", RUNNER_CASES,
+    ids=[c if isinstance(c, str) else "lattice-flags" for c, _ in RUNNER_CASES],
+)
+def test_runners_return_their_output_and_print_nothing(tmp_path, capsys, command, scenario):
+    """Each runner returns (rendered report, exit code) and writes
+    nothing; `main` prints that text once."""
+    if scenario is None:
+        base = command
+    else:
+        base = [command, "--scenario", write_scenario(tmp_path, scenario)]
+    for fmt in ("table", "json"):
+        args = cli._build_parser().parse_args(base + ["--format", fmt])
+        loaded = None if scenario is None else cli._load_scenario(args.scenario)
+        text, code = args.run(loaded, args)
+        assert capsys.readouterr() == ("", "")
+        assert type(text) is str and code == 0
+        assert run(capsys, base + ["--format", fmt]) == (code, text, "")
+    assert json.loads(text)["kind"] == args.command
 
 
 def test_every_toyqft_export_is_used_outside_tests():
