@@ -12,7 +12,6 @@ import functools
 import io
 import json
 import math
-import os
 import random
 import sys
 
@@ -27,7 +26,6 @@ from .scatter import build_roster, hamiltonian, probability_table
 from .spacetime import hyperboloid, space_volume
 from .spectral import DEFAULT_GROUP_TOL, apply_unitary_exp, eigh
 
-SEED_ENV = "TOYQFT_SEED"
 # Largest |g|·‖H‖₁ that scatter accepts, H the block on the in-state's
 # (-1)^N sector that the series runs on.  exp(igH)|in> costs about |g|ρ
 # products with H on the in-state's kets, ρ ≤ ‖H‖₁ the bound the series
@@ -62,11 +60,15 @@ def _load_scenario(path):
 
 
 def _typed(value, field, kind, minimum=None):
-    """value if it is a `kind` no less than `minimum`; true/false is only a bool."""
+    """value if it is a `kind` no less than `minimum`, and finite if `kind`
+    takes floats; true/false is only a bool."""
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise ScenarioError(field, f"expected {getattr(kind, '__name__', 'number')}")
     if minimum is not None and not value >= minimum:  # NaN is not >= anything
         raise ScenarioError(field, f"must be >= {minimum}")
+    # false for NaN, infinities and integers too large for a float
+    if isinstance(1.0, kind) and not abs(value) <= sys.float_info.max:
+        raise ScenarioError(field, "must be a finite number")
     return value
 
 
@@ -147,9 +149,17 @@ def _slice_x0(value):
     return x0
 
 
+def _shell_r(value, field):
+    """value as the shells' largest energy r if `hyperboloid`'s loop over
+    (p0, p1, p2), at most (r+1)·(2r+1)² steps, fits in SPACE_BUDGET
+    (r <= 160 at 2^24); checked before any shell is enumerated."""
+    r = _typed(value, field, int, minimum=0)
+    if (r + 1) * (2 * r + 1) ** 2 > SPACE_BUDGET:
+        raise ScenarioError(field, f"shell enumeration exceeds {SPACE_BUDGET} steps")
+    return r
+
+
 def _parse_field(space, terms, field_name):
-    if not isinstance(terms, list):
-        raise ScenarioError(field_name, "expected list of terms")
     parsed = []
     for i, term in enumerate(terms):
         if not isinstance(term, dict) or "mode" not in term:
@@ -160,9 +170,6 @@ def _parse_field(space, terms, field_name):
         if not (isinstance(alpha, list) and len(alpha) == 2):
             raise ScenarioError(where, "expected [re, im]")
         re, im = (_typed(a, where, (int, float)) for a in alpha)
-        # false for NaN, infinities and integers too large for a float
-        if not all(abs(a) <= sys.float_info.max for a in (re, im)):
-            raise ScenarioError(where, "must be a finite number")
         parsed.append((mode_id, complex(re, im)))
     try:
         return free_field(space, parsed)
@@ -272,14 +279,11 @@ def _algebra_checks(space, rng):
 
 
 def _run_verify(scenario, args):
-    tol = args.tol
-    if not abs(tol) < float("inf"):  # also true for NaN
-        raise ScenarioError("tol", "must be a finite number")
+    tol = _typed(args.tol, "tol", float)
     space = _parse_space(scenario)
-    seed = int(os.environ.get(SEED_ENV, "0"))
     rows = [
         [name, float(violation), "pass" if violation <= tol else "FAIL"]
-        for name, violation in _algebra_checks(space, random.Random(seed)).items()
+        for name, violation in _algebra_checks(space, random.Random(0)).items()
     ]
     report = {
         "kind": "verify",
@@ -291,13 +295,13 @@ def _run_verify(scenario, args):
 
 
 def _run_spectrum(scenario, args):
-    if not 0 < args.tol < float("inf"):  # also false for NaN
-        raise ScenarioError("tol", "must be a finite number > 0")
+    if not _typed(args.tol, "tol", float) > 0:
+        raise ScenarioError("tol", "must be > 0")
     space = _parse_space(scenario)
     # finite alphas can still overflow the operator or its spectrum: that
     # is one scenario error below, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = _parse_field(space, _require(scenario, "field"), "field")
+        phi = _parse_field(space, _require(scenario, "field", list), "field")
         square = _require(scenario, "self_interaction", bool, default=False)
         terms2 = _require(scenario, "field2", list, default=None)
         if terms2 is None:
@@ -318,12 +322,10 @@ def _run_spectrum(scenario, args):
 
 
 def _run_scatter(scenario, args):
-    coupling = args.coupling
-    if not abs(coupling) < float("inf"):  # also true for NaN
-        raise ScenarioError("coupling", "must be a finite number")
+    coupling = _typed(args.coupling, "coupling", float)
     mass1 = _require(scenario, "mass1", int, minimum=1)
     mass2 = _require(scenario, "mass2", int, minimum=1)
-    r = _require(scenario, "r", int, minimum=0)
+    r = _shell_r(_require(scenario, "r"), "r")
     cutoff = _require(scenario, "cutoff_s", int, minimum=1)
     x0 = _slice_x0(_require(scenario, "x0"))
     threshold = _require(scenario, "threshold", (int, float), 0, default=0.0)
@@ -374,7 +376,7 @@ def _run_scatter(scenario, args):
 def _run_lattice(scenario, args):
     if scenario is not None:
         mass = _require(scenario, "mass", int, minimum=0)
-        r = _require(scenario, "r", int, minimum=0)
+        r = _shell_r(_require(scenario, "r"), "r")
         x0 = _require(scenario, "x0", default=None)
     else:
         if args.mass is None or args.max_energy is None:
@@ -382,7 +384,7 @@ def _run_lattice(scenario, args):
                 "lattice", "--mass and --max-energy (or --scenario) required"
             )
         mass = _typed(args.mass, "mass", int, minimum=0)
-        r = _typed(args.max_energy, "max_energy", int, minimum=0)
+        r = _shell_r(args.max_energy, "max_energy")
         x0 = args.x0
     if x0 is not None:
         x0 = _slice_x0(x0)

@@ -489,6 +489,9 @@ MALFORMED = {
     "threshold-str": ("scatter", dict(SCATTER_R1, threshold="high")),
     "threshold-negative": ("scatter", dict(SCATTER_R1, threshold=-1.0)),
     "threshold-nan": ("scatter", dict(SCATTER_R1, threshold=float("nan"))),
+    "threshold-huge": ("scatter", dict(SCATTER_R1, threshold=10**400)),
+    "threshold-infinity": ("scatter", dict(SCATTER_R1, threshold=float("inf"))),
+    "r-huge": ("scatter", dict(SCATTER_R1, r=2**70)),
     "field-id-str": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": "a"}])),
     "field-id-float": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 1.5}])),
     "field-alpha-str": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": ["1", 0]}])),
@@ -534,13 +537,14 @@ MALFORMED = {
     "lattice-x0-huge": ("lattice", {"mass": 1, "r": 2, "x0": 100000}),
     # a list command is the whole argv, with no scenario file written
     "lattice-no-max-energy": (["lattice", "--mass", "1"], None),
+    "lattice-max-energy-huge": (["lattice", "--mass", "1", "--max-energy", str(2**70)], None),
     "scenario-empty-path": (["dims", "--scenario", ""], None),
 }
 
 # the start of the stderr line a MALFORMED row prints, where a test pins it
 MALFORMED_MESSAGES = {
     "roster-off-shell": "roster[0]: mode mode0: momentum (1, 1, 0, 0) off the mass-1 shell",
-    "field-dict": "field: expected list of terms",
+    "field-dict": "field: expected list",
     "field-alpha-short": "field[0].alpha: expected [re, im]",
     "state-fermion-count-2": "in_state: fermion count must be 1",
     "state-above-cutoff": "in_state: state outside the basis",
@@ -555,6 +559,10 @@ MALFORMED_MESSAGES = {
     "field2-null": "field2: expected list",
     "x0-huge": f"x0: slice grid exceeds {cli.SPACE_BUDGET} coordinates",
     "lattice-x0-huge": f"x0: slice grid exceeds {cli.SPACE_BUDGET} coordinates",
+    "threshold-huge": "threshold: must be a finite number",
+    "threshold-infinity": "threshold: must be a finite number",
+    "r-huge": f"r: shell enumeration exceeds {cli.SPACE_BUDGET} steps",
+    "lattice-max-energy-huge": f"max_energy: shell enumeration exceeds {cli.SPACE_BUDGET} steps",
 }
 
 
@@ -592,6 +600,40 @@ def test_wrong_type_field_exits_2_naming_it(tmp_path, capsys, op, field):
     code, out, err = run(capsys, [op.command, "--scenario", path])
     assert (code, out) == (2, "")
     assert err.startswith(f"scenario error: {field}: ") and err.count("\n") == 1
+
+
+# WRONG_TYPE's grid with each command's optional fields added, and one
+# unknown field (None) per class
+OPTIONAL_FIELDS = {"scatter": ["threshold"], "spectrum": ["field2", "self_interaction"]}
+MUTATED = [
+    (name, ops[0], field)
+    for name, ops in workloads.CLASSES.items()
+    for field in sorted({*ops[0].scenario, *OPTIONAL_FIELDS.get(ops[0].command, [])}) + [None]
+]
+
+
+@pytest.mark.parametrize(
+    "op, field",
+    [(op, field) for _, op, field in MUTATED],
+    ids=[f"{name}-{field or 'unknown'}" for name, _, field in MUTATED],
+)
+def test_mutated_field_exits_0_or_2_cleanly(tmp_path, capsys, op, field):
+    """One field of a catalog scenario negative, huge, NaN, infinite,
+    null or missing, or one unknown field added: exit 0, or exit 2 with
+    empty stdout and one `scenario error:` line, and never a traceback."""
+    if field is None:
+        scenarios = [dict(op.scenario, unknown_field=1)]
+    else:
+        scenarios = [{k: v for k, v in op.scenario.items() if k != field}]
+        scenarios += [
+            dict(op.scenario, **{field: value})
+            for value in (-1, 10**400, float("nan"), float("inf"), None)
+        ]
+    for scenario in scenarios:
+        code, out, err = run(capsys, [op.command, "--scenario", write_scenario(tmp_path, scenario)])
+        assert code in (0, 2), scenario
+        if code == 2:
+            assert out == "" and err.startswith("scenario error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -969,13 +1011,15 @@ def test_verify_leaves_numpy_random_out(tmp_path):
 
 
 def test_verify_output_independent_of_seed(tmp_path, capsys, monkeypatch):
+    """verify draws alpha from a fixed seed, so TOYQFT_SEED changes
+    nothing, set or unset, numeric or not."""
     path = write_scenario(tmp_path, VERIFY_MIXED)
-    outputs = []
-    for seed in ("0", "1", "12345"):
-        monkeypatch.setenv(cli.SEED_ENV, seed)
-        outputs.append(run(capsys, ["verify", "--scenario", path]))
-    assert outputs[0][0] == 0
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    monkeypatch.delenv("TOYQFT_SEED", raising=False)
+    unset = run(capsys, ["verify", "--scenario", path])
+    assert unset[0] == 0
+    for seed in ("0", "1", "12345", "abc", ""):
+        monkeypatch.setenv("TOYQFT_SEED", seed)
+        assert run(capsys, ["verify", "--scenario", path]) == unset
 
 
 def test_scatter_strong_coupling_matches_dense_column(tmp_path, capsys):
@@ -1054,6 +1098,30 @@ def test_cli_reads_the_scenario_only_through_require():
         and any(map(is_scenario, node.comparators))
     ]
     assert direct == []
+
+
+def test_cli_checks_finiteness_only_in_typed():
+    """`sys.float_info` and `float("...")` appear in cli only inside
+    `_typed`, the one finite-number rule; cli reads no environment."""
+    source = Path(cli.__file__).read_text()
+    tree = ast.parse(source)
+    typed = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_typed")
+    inside = set(map(id, ast.walk(typed)))
+    outside = [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            isinstance(node, ast.Attribute) and node.attr == "float_info"
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float" and any(isinstance(a, ast.Constant) for a in node.args)
+        )
+    ]
+    assert outside == []
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "os" not in imported and "TOYQFT_SEED" not in source
 
 
 # one catalog variant per command, and lattice from its scenario and flags

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from toyqft import (
     EnergyMomentum,
     LatticePoint,
     build_space,
+    commutator,
     field_at,
     hyperboloid,
     lorentz_product,
@@ -204,3 +208,52 @@ def test_negative_time_rejected():
 def test_outside_forward_cone_rejected():
     with pytest.raises(ValueError):
         EnergyMomentum(1, (2, 0, 0))
+
+
+# Locality on the period-4 lattice: one mass-1 boson block at s=2
+@functools.cache
+def boson_block(r):
+    """(space, phi) for the block's modes: phi(x0, x) is its field_at."""
+    n = len(hyperboloid(1, r))
+    space = build_space(build_roster(1, 1, r)[:n], 2)
+    return space, lambda x0, x: field_at(space, LatticePoint(x0, x), r, 1, range(n))
+
+
+def bracket_below_cutoff(space, a, b):
+    """max |[a, b]| over the rows and columns of kets with N < s."""
+    low = space.occupations.sum(1) < space.cutoff_s
+    return np.abs(commutator(a, b).mat[np.ix_(low, low)]).max()
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("mu", range(4))
+def test_field_is_periodic_with_period_4(r, mu):
+    """phase(p, x) depends on x only mod 4, so phi(x + 4 e_mu) is phi(x)
+    bit for bit in every direction."""
+    _, phi = boson_block(r)
+    x = (1, 1, -2, 0)
+    shifted = tuple(c + 4 * (k == mu) for k, c in enumerate(x))
+    a, b = phi(x[0], x[1:]), phi(shifted[0], shifted[1:])
+    for name in ("rows", "cols", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_equal_time_commutator_vanishes_below_the_cutoff(r):
+    """At equal times the momenta p and (p0, -p) cancel in
+    [phi(0, 0), phi(0, x)] on the kets below the cutoff."""
+    space, phi = boson_block(r)
+    origin = phi(0, (0, 0, 0))
+    for x in itertools.product(range(-2, 3), repeat=3):
+        assert bracket_below_cutoff(space, origin, phi(0, x)) <= 1e-14
+
+
+@pytest.mark.parametrize("r, d, size", [(2, (1, -3, -3, -3), 2.0), (3, (1, -2, -3, 0), 26 / 9)])
+def test_spacelike_commutator_need_not_vanish(r, d, size):
+    """No light cone: at a spacelike separation d the commutator below
+    the cutoff is far from 0 (every spacelike d has a timelike or null
+    image mod 4)."""
+    space, phi = boson_block(r)
+    assert minkowski_sq(d) < 0
+    got = bracket_below_cutoff(space, phi(0, (0, 0, 0)), phi(d[0], d[1:]))
+    assert got == pytest.approx(size, abs=1e-12)
