@@ -14,17 +14,18 @@ import json
 import math
 import random
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .errors import ScenarioError, ToyQFTError, UnknownMode
-from .fields import free_field, interaction_field, self_interaction
+from .fields import free_field
 from .fock import ParticleMode, Statistics, build_space
 from .ladder import algebra_violations, annihilator, creator
 from .scatter import build_roster, hamiltonian, probability_table
-from .spacetime import hyperboloid, space_volume
-from .spectral import DEFAULT_GROUP_TOL, apply_unitary_exp, eigh
+from .spacetime import hyperboloid, shell_size, space_volume
+from .spectral import DEFAULT_GROUP_TOL, apply_unitary_exp, grouped_union
 
 # Largest |g|·‖H‖₁ that scatter accepts, H the block on the in-state's
 # (-1)^N sector that the series runs on.  exp(igH)|in> costs about |g|ρ
@@ -119,24 +120,33 @@ def _parse_roster(scenario):
     return modes
 
 
+def _occupations(fermions, bosons, most):
+    """Running counts of the occupations of `fermions` fermion and `bosons`
+    boson modes that hold at most `most` particles, in closed form: one
+    count per k = 0, 1, ... fermions, adding those with k fermions and at
+    most most - k bosons.  The last, and largest, is the total; there is
+    none if most < 0."""
+    kets = 0
+    for k in range(min(fermions, most) + 1):
+        kets += math.comb(fermions, k) * math.comb(bosons + most - k, bosons)
+        yield kets
+
+
 def _check_size(statistics, cutoff):
     """ScenarioError naming cutoff_s if the space at `cutoff` of one mode
-    per entry of `statistics` holds more than SPACE_BUDGET kets x modes:
-    its kets are counted in closed form, k fermions and at most cutoff - k
-    bosons at a time."""
+    per entry of `statistics` holds more than SPACE_BUDGET kets x modes."""
     fermions = statistics.count(Statistics.FERMION)
-    bosons, kets = len(statistics) - fermions, 0
-    for k in range(min(fermions, cutoff) + 1):
-        kets += math.comb(fermions, k) * math.comb(bosons + cutoff - k, bosons)
+    for kets in _occupations(fermions, len(statistics) - fermions, cutoff):
         if kets * len(statistics) > SPACE_BUDGET:
             raise ScenarioError("cutoff_s", f"space exceeds {SPACE_BUDGET} kets x modes")
 
 
-def _parse_space(scenario):
+def _parse_sized_roster(scenario):
+    """(modes, cutoff) of a roster whose space fits in SPACE_BUDGET."""
     modes = _parse_roster(scenario)
     cutoff = _require(scenario, "cutoff_s", int, minimum=1)
     _check_size([m.statistics for m in modes], cutoff)
-    return build_space(modes, cutoff)
+    return modes, cutoff
 
 
 def _slice_x0(value):
@@ -159,7 +169,9 @@ def _shell_r(value, field):
     return r
 
 
-def _parse_field(space, terms, field_name):
+def _parse_field(modes, terms, field_name):
+    """(mode id, alpha) of each term of a field on the roster `modes`:
+    every term well typed, then no id twice, then every id in the roster."""
     parsed = []
     for i, term in enumerate(terms):
         if not isinstance(term, dict) or "mode" not in term:
@@ -171,10 +183,81 @@ def _parse_field(space, terms, field_name):
             raise ScenarioError(where, "expected [re, im]")
         re, im = (_typed(a, where, (int, float)) for a in alpha)
         parsed.append((mode_id, complex(re, im)))
-    try:
-        return free_field(space, parsed)
-    except ToyQFTError as exc:
-        raise ScenarioError(field_name, str(exc)) from exc
+    seen = set()
+    for mode_id, _ in parsed:
+        if mode_id in seen:
+            raise ScenarioError(field_name, f"mode {mode_id} listed twice")
+        seen.add(mode_id)
+    for mode_id, _ in parsed:
+        if not 0 <= mode_id < len(modes):
+            raise ScenarioError(field_name, f"mode id {mode_id} not in roster")
+    return parsed
+
+
+def _field_spectrum(modes, cutoff, terms, terms2, square, group_tol):
+    """`grouped_union` of the spectrum of the field `terms` (its square if
+    `square`), or of ½{phi, psi} with the field `terms2`, on the space of
+    `modes` at `cutoff`, diagonalizing only the modes the fields name.
+
+    The operator keeps every other (spectator) mode's count.  On the kets
+    of a spectator occupation of k particles it is the named modes' own
+    operator at cutoff cutoff - k, up to a sign on each named fermion
+    that conjugating by its (-1)^N removes.  So the spectrum is the union
+    over budgets b of the named operator at cutoff b, which the leading
+    blocks of the fields at `cutoff` give (kets ascend in total count),
+    counted once per spectator occupation of cutoff - b particles; the
+    top budget, the named space's largest total, takes every occupation
+    of at most cutoff - top.  A field moves one count by 1, so it is a
+    block P from odd-total to even-total kets and P* back: phi is ±σ, the
+    singular values of P, and |#even - #odd| zeros; phi² is σ² twice and
+    those zeros; ½{phi, psi} is ½(PQ* + QP*) and ½(P*Q + Q*P).
+    """
+    named = sorted({mode_id for mode_id, _ in terms + (terms2 or [])})
+    local = {mode_id: k for k, mode_id in enumerate(named)}
+    space = build_space([replace(modes[i], id=k) for k, i in enumerate(named)], cutoff)
+    totals = space.occupations.sum(1)  # ascending
+    even, odd = np.flatnonzero(totals % 2 == 0), np.flatnonzero(totals % 2)
+    p, q = (
+        None if spec is None
+        else free_field(space, [(local[i], a) for i, a in spec]).mat[np.ix_(even, odd)]
+        for spec in (terms, terms2)
+    )
+    top = int(totals[-1])
+    spectators = [m.statistics for m in modes if m.id not in local]
+    fermions = spectators.count(Statistics.FERMION)
+
+    def at_most(most):  # spectator occupations of at most `most` particles
+        return max(_occupations(fermions, len(spectators) - fermions, most), default=0)
+
+    counts = [at_most(cutoff - b) - at_most(cutoff - b - 1) for b in range(top)]
+    counts.append(at_most(cutoff - top))
+    values, weights = [], []
+    for budget, count in enumerate(counts):
+        if not count:
+            continue
+        size = totals.searchsorted(budget, side="right")
+        rows, cols = even.searchsorted(size), odd.searchsorted(size)
+        p_b = p[:rows, :cols]
+        if q is None:
+            blocks = [p_b]
+        else:
+            q_b = q[:rows, :cols]
+            on_even, on_odd = p_b @ q_b.conj().T, p_b.conj().T @ q_b
+            blocks = [0.5 * (b + b.conj().T) for b in (on_even, on_odd)]
+        if not all(np.isfinite(block).all() for block in blocks):
+            raise ScenarioError("field", "spectrum is not finite")
+        if q is None:
+            sigma = np.linalg.svd(p_b, compute_uv=False)
+            pair = (sigma * sigma,) * 2 if square else (-sigma, sigma)
+            w = np.concatenate([*pair, np.zeros(abs(rows - cols))])
+        else:
+            w = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
+        values.append(w)
+        weights.append(np.full(len(w), count))
+    groups = grouped_union(np.concatenate(values), np.concatenate(weights), group_tol)
+    if not np.isfinite([value for value, _ in groups]).all():
+        raise ScenarioError("field", "spectrum is not finite")
+    return groups
 
 
 def _parse_state(space, raw, field_name):
@@ -254,7 +337,7 @@ def emit_report(report, fmt):
 
 
 def _run_dims(scenario, args):
-    space = _parse_space(scenario)
+    space = build_space(*_parse_sized_roster(scenario))
     report = {
         "kind": "dims",
         "columns": ["quantity", "value"],
@@ -280,7 +363,7 @@ def _algebra_checks(space, rng):
 
 def _run_verify(scenario, args):
     tol = _typed(args.tol, "tol", float)
-    space = _parse_space(scenario)
+    space = build_space(*_parse_sized_roster(scenario))
     rows = [
         [name, float(violation), "pass" if violation <= tol else "FAIL"]
         for name, violation in _algebra_checks(space, random.Random(0)).items()
@@ -297,26 +380,22 @@ def _run_verify(scenario, args):
 def _run_spectrum(scenario, args):
     if not _typed(args.tol, "tol", float) > 0:
         raise ScenarioError("tol", "must be > 0")
-    space = _parse_space(scenario)
-    # finite alphas can still overflow the operator or its spectrum: that
-    # is one scenario error below, with no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = _parse_field(space, _require(scenario, "field", list), "field")
-        square = _require(scenario, "self_interaction", bool, default=False)
-        terms2 = _require(scenario, "field2", list, default=None)
-        if terms2 is None:
-            op = self_interaction(phi) if square else phi
-        elif square:
+    modes, cutoff = _parse_sized_roster(scenario)
+    terms = _parse_field(modes, _require(scenario, "field", list), "field")
+    square = _require(scenario, "self_interaction", bool, default=False)
+    terms2 = _require(scenario, "field2", list, default=None)
+    if terms2 is not None:
+        if square:
             raise ScenarioError("self_interaction", "cannot be combined with field2")
-        else:
-            op = interaction_field(phi, _parse_field(space, terms2, "field2"))
-        decomp = eigh(op, group_tol=args.tol) if np.isfinite(op.data).all() else None
-    if decomp is None or not np.isfinite([g.value for g in decomp.groups]).all():
-        raise ScenarioError("field", "spectrum is not finite")
+        terms2 = _parse_field(modes, terms2, "field2")
+    # finite alphas can still overflow the operator or its spectrum: that
+    # is one scenario error, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        groups = _field_spectrum(modes, cutoff, terms, terms2, square, args.tol)
     report = {
         "kind": "spectrum",
         "columns": ["lambda", "multiplicity"],
-        "rows": [[g.value, g.multiplicity] for g in decomp.groups],
+        "rows": [list(group) for group in groups],
     }
     return emit_report(report, args.fmt), 0
 
@@ -335,8 +414,8 @@ def _run_scatter(scenario, args):
     s1 = _parse_statistics(stats[0], "statistics[0]")
     s2 = _parse_statistics(stats[1], "statistics[1]")
     # each block is one mode per shell point: counted before any is built
-    sizes = {m: len(hyperboloid(m, r)) for m in {mass1, mass2}}
-    _check_size([s1] * sizes[mass1] + [s2] * sizes[mass2], cutoff)
+    size1, size2 = (shell_size(m, r) for m in (mass1, mass2))
+    _check_size([s1] * size1 + [s2] * size2, cutoff)
     try:
         roster = build_roster(mass1, mass2, r, s1, s2)
     except ToyQFTError as exc:

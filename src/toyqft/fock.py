@@ -213,6 +213,8 @@ def build_space(modes, cutoff_s):
         starts = heads.searchsorted(np.arange(n) + fermion[canonical])
         heads = np.arange(n).repeat(len(heads) - starts)
         block = np.column_stack([heads, np.concatenate([block[s:] for s in starts])])
+        if not len(block):  # no ket of this total, so none of any higher
+            break
         ids = canonical[block]
         # the basis orders by mode ids: only a boson id below a fermion
         # id moves a row

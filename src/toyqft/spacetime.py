@@ -104,6 +104,15 @@ def _shell(m, r):
     return points
 
 
+def shell_size(m, r):
+    """Number of points of the mass-m hyperboloid with p0 <= r, read off
+    the cached shell; 0 if it has none."""
+    try:
+        return len(_shell(m, r))
+    except EmptyRoster:
+        return 0
+
+
 def space_volume(x0):
     """Number of integer spatial points within Euclidean distance x0."""
     return len(_slice_points(x0))

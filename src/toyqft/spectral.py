@@ -4,6 +4,8 @@ action of exp(igH) on one vector.
 Eigenvalues are grouped into clusters (one per distinct eigenvalue up to
 the grouping tolerance), with orthonormal group bases, spectral
 projectors, reconstruction and the unitary exponential exp(iH).
+`grouped_union` groups a spectrum given as values with counts by the
+same rule, with no matrix.
 `apply_unitary_exp` needs no decomposition: it sums a Chebyshev series
 of matrix-vector products on the kets the vector reaches.
 """
@@ -57,6 +59,28 @@ def _canonical_phase(vectors):
     return vectors * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
+def _group_bounds(w, group_tol):
+    """[0, each group's first index after the first, len(w)] for ascending
+    values w: two neighbours join one group iff their gap is at most
+    group_tol * max(1, spectral radius)."""
+    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+    return [0, *(np.flatnonzero(np.diff(w) > group_tol * scale) + 1).tolist(), len(w)]
+
+
+def grouped_union(values, counts, group_tol=DEFAULT_GROUP_TOL):
+    """(value, multiplicity) of each group, ascending, of the spectrum that
+    holds values[k] counts[k] times, grouped by `eigh`'s rule.  A group's
+    value is its count-weighted mean, the sum over every copy divided by
+    their number, so it is inf where that sum overflows, as `eigh`'s
+    mean is.  There must be a value, and no count may be 0."""
+    order = np.argsort(values, kind="stable")
+    w, m = np.asarray(values, dtype=float)[order], np.asarray(counts)[order]
+    starts = _group_bounds(w, group_tol)[:-1]
+    totals = np.add.reduceat(m, starts)
+    means = np.add.reduceat(w * m, starts) / totals
+    return list(zip(means.tolist(), totals.tolist()))
+
+
 def eigh(h, group_tol=DEFAULT_GROUP_TOL):
     """Decompose a Hermitian matrix, clustering near-equal eigenvalues.
 
@@ -74,10 +98,9 @@ def eigh(h, group_tol=DEFAULT_GROUP_TOL):
         raise NotHermitian("matrix is not Hermitian within tolerance")
 
     w, v = np.linalg.eigh(mat)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     # the phase acts column by column, so one call serves every group
     v = _canonical_phase(v)
-    bounds = [0, *(np.flatnonzero(np.diff(w) > group_tol * scale) + 1).tolist(), len(w)]
+    bounds = _group_bounds(w, group_tol)
     groups = tuple(
         EigenGroup(float(np.mean(w[start:k])), k - start, v[:, start:k])
         for start, k in zip(bounds, bounds[1:])

@@ -8,7 +8,9 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -25,8 +27,12 @@ from toyqft import (
     build_roster,
     build_space,
     cli,
+    eigh,
+    free_field,
     hamiltonian,
+    interaction_field,
     scattering_operator,
+    self_interaction,
     spacetime,
 )
 from toyqft.cli import emit_report, main
@@ -175,6 +181,138 @@ def test_spectrum_table_12_digits(tmp_path, capsys):
     code, out, _ = run(capsys, ["spectrum", "--scenario", path, "--format", "table"])
     assert code == 0
     assert "-1.41421356237" in out
+
+
+# spectrum from the named modes alone, against the dense reference: the
+# whole space's operator through `eigh`
+ALPHAS = [[1.0, 0.0], [0.5, -0.25], [-0.8, 0.6], [0.3, 1.2]]
+
+
+@st.composite
+def spectrum_cases(draw):
+    """(scenario, modes): up to four fermions of one mass, up to one of
+    another mass and up to three bosons in any order, cutoff at most 4,
+    and a field (with field2 or self_interaction) naming up to three of
+    them, so named fermions sit among spectator fermions of their kind."""
+    kinds = ["fermion-1"] * draw(st.integers(0, 4)) + ["fermion-2"] * draw(st.integers(0, 1))
+    kinds += ["boson-0"] * draw(st.integers(0 if kinds else 1, 3))
+    kinds = draw(st.permutations(kinds))
+    roster = [{"statistics": k.split("-")[0], "mass": int(k[-1])} for k in kinds]
+
+    def field():
+        ids = draw(st.lists(st.integers(0, len(kinds) - 1), unique=True, max_size=3))
+        return [{"mode": i, "alpha": draw(st.sampled_from(ALPHAS))} for i in ids]
+
+    scenario = {"roster": roster, "cutoff_s": draw(st.integers(1, 4)), "field": field()}
+    form = draw(st.sampled_from(["field", "field2", "self"]))
+    if form == "field2":
+        scenario["field2"] = field()
+    elif form == "self":
+        scenario["self_interaction"] = True
+    modes = [
+        ParticleMode(i, f"mode{i}", Statistics(e["statistics"]), e["mass"])
+        for i, e in enumerate(roster)
+    ]
+    return scenario, modes
+
+
+def dense_spectrum(scenario, modes):
+    """(value, multiplicity) pairs of the scenario's operator built on the
+    whole space and decomposed by `eigh`."""
+    space = build_space(modes, scenario["cutoff_s"])
+
+    def field(name):
+        return free_field(space, [(t["mode"], complex(*t["alpha"])) for t in scenario[name]])
+
+    op = field("field")
+    if "field2" in scenario:
+        op = interaction_field(op, field("field2"))
+    elif scenario.get("self_interaction"):
+        op = self_interaction(op)
+    return eigh(op).pairs()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(spectrum_cases())
+def test_spectrum_matches_the_dense_reference(case):
+    scenario, modes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        reports = []
+        for command in ("spectrum", "dims"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([command, "--scenario", str(path)]) == 0
+            reports.append(json.loads(out.getvalue())["rows"])
+    (rows, [[_, dimension]]), want = reports, dense_spectrum(scenario, modes)
+    assert [m for _, m in rows] == [m for _, m in want]
+    assert sum(m for _, m in rows) == dimension
+    for (value, _), (reference, _) in zip(rows, want):
+        assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
+
+
+def test_spectrum_builds_only_the_named_modes(tmp_path, capsys, monkeypatch):
+    """The only space a spectrum op builds is the named modes', renumbered
+    in ascending id with statistics and mass kept."""
+    roster = [
+        {"statistics": "fermion", "mass": 1}, {"statistics": "boson"},
+        {"statistics": "fermion", "mass": 1}, {"statistics": "boson"},
+        {"statistics": "fermion", "mass": 2},
+    ]
+    scenario = {
+        "roster": roster, "cutoff_s": 3,
+        "field": [{"mode": 3}, {"mode": 0}], "field2": [{"mode": 4}, {"mode": 3}],
+    }
+    built = []
+
+    def recording(modes, cutoff):
+        built.append((tuple(modes), cutoff))
+        return build_space(modes, cutoff)
+
+    monkeypatch.setattr(cli, "build_space", recording)
+    path = write_scenario(tmp_path, scenario)
+    assert run(capsys, ["spectrum", "--scenario", path])[0] == 0
+    modes = [
+        ParticleMode(i, f"mode{i}", Statistics(e["statistics"]), e.get("mass", 0))
+        for i, e in enumerate(roster)
+    ]
+    named = tuple(replace(modes[i], id=k) for k, i in enumerate([0, 3, 4]))
+    assert built == [(named, 3)]
+
+
+def test_spectrum_of_large_alphas_scales(tmp_path, capsys):
+    """½{phi, psi} is Hermitian by construction, so alphas of 1e9 are not
+    refused for rounding asymmetry: the spectrum scales by 1e18."""
+    roster = [{"statistics": "boson"}, {"statistics": "boson"}, {"statistics": "fermion"}]
+    scenario = {
+        "roster": roster, "cutoff_s": 3,
+        "field": [{"mode": 0, "alpha": [1.0, 0.3]}, {"mode": 2, "alpha": [2.0, 0.0]}],
+        "field2": [{"mode": 1, "alpha": [0.3, 1.0]}, {"mode": 2, "alpha": [0.0, 1.0]}],
+    }
+    base = run(capsys, ["spectrum", "--scenario", write_scenario(tmp_path, scenario)])
+    for name in ("field", "field2"):
+        scenario[name] = [dict(t, alpha=[1e9 * a for a in t["alpha"]]) for t in scenario[name]]
+    large = run(capsys, ["spectrum", "--scenario", write_scenario(tmp_path, scenario)])
+    assert base[0] == large[0] == 0
+    rows, want = json.loads(large[1])["rows"], json.loads(base[1])["rows"]
+    assert [m for _, m in rows] == [m for _, m in want]
+    assert np.allclose([v for v, _ in rows], [1e18 * v for v, _ in want], rtol=1e-12, atol=1e6)
+
+
+@pytest.mark.parametrize("command", ["dims", "spectrum"])
+def test_two_fermions_at_a_huge_cutoff(tmp_path, capsys, command):
+    """Two fermions hold at most two particles, so cutoff_s 10**30 is the
+    cutoff-2 space and runs at once."""
+    roster = [{"statistics": "fermion"}] * 2
+    scenario = {"roster": roster, "field": [{"mode": 1, "alpha": [0.5, 0]}]}
+    path = write_scenario(tmp_path, dict(scenario, cutoff_s=10**30))
+    start = time.perf_counter()
+    huge = run(capsys, [command, "--scenario", path])
+    assert time.perf_counter() - start < 1.0
+    path = write_scenario(tmp_path, dict(scenario, cutoff_s=2))
+    assert huge == run(capsys, [command, "--scenario", path])
+    assert huge[0] == 0
 
 
 def test_scatter_probability_table(tmp_path, capsys):
@@ -423,6 +561,17 @@ def test_scatter_budget_runs_before_the_roster(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (2, "", "scenario error: scatter: mass-3 hyperboloid empty for r=2\n")
 
 
+def test_scatter_budget_reads_the_cached_shells(tmp_path, capsys, monkeypatch):
+    """The size budget counts the cached shells that the roster and the
+    fields read, with no shell enumeration of its own."""
+    def unreachable(*args):
+        raise AssertionError("shell enumerated outside the cache")
+
+    monkeypatch.setattr(cli, "hyperboloid", unreachable)
+    path = write_scenario(tmp_path, SCATTER_R1)
+    assert run(capsys, ["scatter", "--scenario", path])[0] == 0
+
+
 @pytest.mark.parametrize("fermions, bosons, s", [(0, 3, 4), (3, 0, 5), (2, 3, 3), (4, 2, 2)])
 def test_size_budget_counts_kets_exactly(tmp_path, capsys, monkeypatch, fermions, bosons, s):
     """A space of exactly SPACE_BUDGET kets x modes is built; one entry
@@ -521,6 +670,14 @@ MALFORMED = {
     "roster-off-shell": ("dims", {"roster": [{"mass": 1, "momentum": [1, 1, 0, 0]}], "cutoff_s": 1}),
     "field-dict": ("spectrum", dict(FERMION_ROSTER_K3, field={"mode": 0})),
     "field-alpha-short": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [1.0]}])),
+    "field-id-unknown": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0}, {"mode": 3}])),
+    "field-id-negative": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": -1}])),
+    "field-id-twice": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 1}, {"mode": 1}])),
+    # the repeated id is reported before the unknown one ahead of it
+    "field-id-unknown-and-twice": (
+        "spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 9}, {"mode": 0}, {"mode": 0}])
+    ),
+    "field2-id-unknown": ("spectrum", dict(SPECTRUM_K3, field2=[{"mode": 2}, {"mode": 7}])),
     "state-fermion-count-2": (
         "scatter", dict(SCATTER_R1, statistics=["fermion", "boson"], in_state={"modes": [[0, 2]]})
     ),
@@ -546,6 +703,11 @@ MALFORMED_MESSAGES = {
     "roster-off-shell": "roster[0]: mode mode0: momentum (1, 1, 0, 0) off the mass-1 shell",
     "field-dict": "field: expected list",
     "field-alpha-short": "field[0].alpha: expected [re, im]",
+    "field-id-unknown": "field: mode id 3 not in roster\n",
+    "field-id-negative": "field: mode id -1 not in roster\n",
+    "field-id-twice": "field: mode 1 listed twice\n",
+    "field-id-unknown-and-twice": "field: mode 0 listed twice\n",
+    "field2-id-unknown": "field2: mode id 7 not in roster\n",
     "state-fermion-count-2": "in_state: fermion count must be 1",
     "state-above-cutoff": "in_state: state outside the basis",
     "statistics-one": "statistics: expected a list of two entries",

@@ -97,6 +97,14 @@ def test_empty_roster_vacuum_only():
     assert space.basis[0] == OccupationState()
 
 
+def test_fermion_space_stops_at_its_largest_total():
+    """Two fermions hold at most two particles: a cutoff far past that
+    gives the cutoff-2 basis, with no loop over the empty totals."""
+    huge = build_space(fermion_modes(2), 10**30)
+    assert huge.cutoff_s == 10**30
+    assert np.array_equal(huge.occupations, build_space(fermion_modes(2), 2).occupations)
+
+
 def test_fermion_dimension_formula():
     for s in range(1, 7):
         assert k_space(s).dimension == fermion_dimension(s) == 2**s

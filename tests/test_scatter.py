@@ -729,9 +729,8 @@ def test_sector_of_a_whole_block_keeps_its_data():
 @pytest.mark.parametrize("masses, shells", [((1, 1), [(1, 2)]), ((1, 2), [(1, 2), (2, 2)])])
 def test_scatter_op_builds_each_shell_once(tmp_path, capsys, masses, shells):
     """One scatter op at r=2, s=2, x0=1 builds each cached mass shell
-    once: the roster and `field_at` share it, and the two blocks of equal
-    mass share one.  (The size budget before them counts the points of
-    an uncached `hyperboloid`, through cli's own name.)"""
+    once: the size budget, the roster and `field_at` share it, and the
+    two blocks of equal mass share one."""
     scenario = {
         "mass1": masses[0], "mass2": masses[1], "r": 2, "cutoff_s": 2, "x0": 1,
         "in_state": {"modes": [[0, 1], [9, 1]]},

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from toyqft import (
     EnergyMomentum,
     LatticePoint,
+    Statistics,
+    anticommutator,
     build_space,
     commutator,
     field_at,
@@ -257,3 +259,30 @@ def test_spacelike_commutator_need_not_vanish(r, d, size):
     assert minkowski_sq(d) < 0
     got = bracket_below_cutoff(space, phi(0, (0, 0, 0)), phi(d[0], d[1:]))
     assert got == pytest.approx(size, abs=1e-12)
+
+
+def fermion_block(r, s):
+    """(space, phi) for one mass-1 fermion block, one species, at cutoff s."""
+    n = len(hyperboloid(1, r))
+    roster = build_roster(1, 1, r, Statistics.FERMION, Statistics.FERMION)[:n]
+    space = build_space(roster, s)
+    return space, lambda x0, x: field_at(space, LatticePoint(x0, x), r, 1, range(n))
+
+
+@pytest.mark.parametrize("r, s", [(2, 3), (3, 2)])
+def test_equal_time_fermion_anticommutator_is_a_c_number(r, s):
+    """{a_p, a_q*} = delta_pq and {a_p, a_q} = 0 make {phi(0, 0), phi(0, x)}
+    below the cutoff 2 Re sum_p c_p(0) conj(c_p(x)) times the identity,
+    c_p(x) = phase(p, x) / p0; not 0 at equal times."""
+    space, phi = fermion_block(r, s)
+    low = space.occupations.sum(1) < space.cutoff_s
+    origin = phi(0, (0, 0, 0))
+    for x in itertools.product(range(-2, 3), repeat=3):
+        size = 2 * sum(
+            (phase(p, (0, 0, 0, 0)) * np.conj(phase(p, (0, *x)))).real / p.p0**2
+            for p in hyperboloid(1, r)
+        )
+        got = anticommutator(origin, phi(0, x)).mat[np.ix_(low, low)]
+        assert np.abs(got - size * np.eye(low.sum())).max() <= 1e-14
+        if r == 2 and x == (1, 0, 0):
+            assert size == 2.0

@@ -6,7 +6,13 @@ import pytest
 
 from toyqft import eigh, free_field, projectors, reconstruct, self_interaction, unitary_exp
 from toyqft.errors import NotHermitian
-from toyqft.spectral import BESSEL_TOL, _bessel_orders, _canonical_phase, apply_unitary_exp
+from toyqft.spectral import (
+    BESSEL_TOL,
+    _bessel_orders,
+    _canonical_phase,
+    apply_unitary_exp,
+    grouped_union,
+)
 
 from conftest import generic_coeffs, k_space, l_space
 
@@ -182,6 +188,26 @@ def test_spectral_sums_match_projector_sums(rng):
 def test_degenerate_grouping_merges():
     h = np.diag([1.0, 1.0 + 1e-12, 3.0]).astype(complex)
     assert eigh(h).pairs()[0][1] == 2
+
+
+def test_grouped_union_groups_as_eigh_does():
+    """Values with counts group as their copies would in `eigh`: the gaps
+    decide, and a group's value is its count-weighted mean."""
+    h = np.diag([1.0, 1.0, 1.0 + 1e-12, 3.0, 3.0]).astype(complex)
+    got = grouped_union([3.0, 1.0, 1.0 + 1e-12], [2, 2, 1])
+    assert [m for _, m in got] == [m for _, m in eigh(h).pairs()] == [3, 2]
+    assert got[0][0] == pytest.approx((2 * 1.0 + (1.0 + 1e-12)) / 3, abs=1e-15)
+    assert got[1] == (3.0, 2)
+    # gap 0.5 against 0.4 times the spectral radius 1.5
+    assert grouped_union([1.0, 1.5], [1, 1], group_tol=0.4) == [(1.25, 2)]
+
+
+def test_grouped_union_overflows_as_eigh_does():
+    """A group whose copies sum past the largest float has value inf, as
+    `eigh`'s mean of those copies does."""
+    with np.errstate(over="ignore"):
+        assert grouped_union([1e308], [2]) == [(math.inf, 2)]
+        assert eigh(np.diag([1e308, 1e308]).astype(complex)).pairs()[0][0] == math.inf
 
 
 def test_exp_action_of_zero_is_identity():
