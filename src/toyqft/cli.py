@@ -87,6 +87,27 @@ def _require(scenario, field, kind=None, minimum=None, default=_MISSING):
     return value if kind is None else _typed(value, field, kind, minimum)
 
 
+# The top-level fields each command reads; `main` refuses any other
+# (`_known_fields`) before a field is read.
+FIELDS = {
+    "dims": ("roster", "cutoff_s", "dump_basis"),
+    "verify": ("roster", "cutoff_s"),
+    "spectrum": ("roster", "cutoff_s", "field", "field2", "self_interaction"),
+    "scatter": (
+        "mass1", "mass2", "r", "cutoff_s", "x0", "threshold", "statistics", "in_state"
+    ),
+    "lattice": ("mass", "r", "x0"),
+}
+
+
+def _known_fields(scenario, command):
+    """ScenarioError naming the first field of `scenario`, in file order,
+    that `command` does not read."""
+    for field in scenario:
+        if field not in FIELDS[command]:
+            raise ScenarioError(field, "unknown field")
+
+
 def _parse_statistics(text, field):
     try:
         return Statistics(text)
@@ -151,8 +172,10 @@ def _parse_sized_roster(scenario):
 
 def _slice_x0(value):
     """value as the slice time x0 if its (2·x0+1)³ grid of spatial points,
-    three int64 coordinates each, fits in SPACE_BUDGET (x0 <= 88 at 2^24);
-    checked before any slice is built."""
+    three int64 coordinates each, would fit in SPACE_BUDGET (x0 <= 88 at
+    2^24); checked before the slice is counted.  The slice is counted by
+    class (`spacetime._slice_classes`), not listed, so the grid is only
+    the bound's measure."""
     x0 = _typed(value, "x0", int, minimum=0)
     if 3 * (2 * x0 + 1) ** 3 > SPACE_BUDGET:
         raise ScenarioError("x0", f"slice grid exceeds {SPACE_BUDGET} coordinates")
@@ -544,7 +567,10 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_joined_float_values(argv))
     try:
-        scenario = None if args.scenario is None else _load_scenario(args.scenario)
+        scenario = None
+        if args.scenario is not None:
+            scenario = _load_scenario(args.scenario)
+            _known_fields(scenario, args.command)
         # runners render while their arrays are alive: text made after they
         # are freed lands in that heap space, and a caller that keeps every
         # output (benchmarks/run.py) then faults it back in on each op

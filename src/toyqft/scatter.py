@@ -17,7 +17,7 @@ import numpy as np
 from .fields import interaction_field
 from .fock import ParticleMode, Statistics
 from .ladder import OperatorMatrix
-from .spacetime import LatticePoint, _shell, _slice_points, field_at
+from .spacetime import LatticePoint, _shell, _slice_classes, field_at
 from .spectral import eigh, unitary_exp
 
 
@@ -112,15 +112,14 @@ def _slice_table(x0):
     """R by class of d mod 4: with c_k the number of slice points x where
     x.d = k mod 4, entry class(d) is (c_0 - c_2) / |slice|.
 
-    x.d mod 4 depends on x only through its class, so each class that
-    holds slice points is turned once and counted as often as it holds
-    them: the same integers as counting point by point."""
-    points = _slice_points(x0)
-    sizes = np.bincount((points & 3) @ (16, 4, 1), minlength=64)
+    x.d mod 4 depends on x only through its class, so each class is
+    turned once and counted as often as the slice holds it
+    (`_slice_classes`): the same integers as counting point by point."""
+    sizes = _slice_classes(x0)
     # times 1 / |slice|, not / |slice| (they differ in the last bit): numpy
     # divides complex numbers by a real one this way, so R rounds as the
     # complex per-point average does
-    return sizes @ _cosines() * (1 / len(points))
+    return sizes @ _cosines() * (1 / sizes.sum())
 
 
 def _slice_mask(space, x0, rows, cols):

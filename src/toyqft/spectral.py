@@ -67,17 +67,42 @@ def _group_bounds(w, group_tol):
     return [0, *(np.flatnonzero(np.diff(w) > group_tol * scale) + 1).tolist(), len(w)]
 
 
+def _group_means(w, counts, starts):
+    """(means, totals) of the groups of ascending values w that begin at
+    `starts`, w[k] counted counts[k] times: each group's number of copies
+    and its count-weighted mean, the sum over its copies divided by their
+    number.  Where the copies are finite but that sum overflows, the group
+    is summed again scaled by a power of two (exact, as long as nothing
+    underflows) and its mean clipped to the group's values, as the exact
+    mean is: so a mean is finite whenever its copies are, and where the
+    plain mean is finite it is that mean bit for bit."""
+    starts = np.asarray(starts)
+    totals = np.add.reduceat(counts, starts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.add.reduceat(w * counts, starts) / totals
+    ends = np.append(starts[1:], len(w))
+    low, high = w[starts], w[ends - 1]
+    over = ~np.isfinite(means) & np.isfinite(low) & np.isfinite(high)
+    if over.any():
+        _, exponents = np.frexp(np.maximum(-low, high))  # |w| < 2^e in the group
+        scaled = np.ldexp(w, -np.repeat(exponents, ends - starts)) * counts
+        inside = np.clip(
+            np.add.reduceat(scaled, starts) / totals,
+            np.ldexp(low, -exponents),
+            np.ldexp(high, -exponents),
+        )
+        means = np.where(over, np.ldexp(inside, exponents), means)
+    return means, totals
+
+
 def grouped_union(values, counts, group_tol=DEFAULT_GROUP_TOL):
     """(value, multiplicity) of each group, ascending, of the spectrum that
     holds values[k] counts[k] times, grouped by `eigh`'s rule.  A group's
-    value is its count-weighted mean, the sum over every copy divided by
-    their number, so it is inf where that sum overflows, as `eigh`'s
-    mean is.  There must be a value, and no count may be 0."""
+    value is its count-weighted mean (`_group_means`), finite whenever the
+    values are.  There must be a value, and no count may be 0."""
     order = np.argsort(values, kind="stable")
     w, m = np.asarray(values, dtype=float)[order], np.asarray(counts)[order]
-    starts = _group_bounds(w, group_tol)[:-1]
-    totals = np.add.reduceat(m, starts)
-    means = np.add.reduceat(w * m, starts) / totals
+    means, totals = _group_means(w, m, _group_bounds(w, group_tol)[:-1])
     return list(zip(means.tolist(), totals.tolist()))
 
 
@@ -85,25 +110,27 @@ def eigh(h, group_tol=DEFAULT_GROUP_TOL):
     """Decompose a Hermitian matrix, clustering near-equal eigenvalues.
 
     Two raw eigenvalues join one group iff their gap is at most
-    group_tol * max(1, spectral radius).  Raises NotHermitian when an
-    entry is not finite or the max-abs asymmetry exceeds the Hermiticity
-    tolerance.
+    group_tol * max(1, spectral radius); a group's value is the mean of
+    its eigenvalues (`_group_means`).  Raises NotHermitian when an entry
+    is not finite or the max-abs asymmetry exceeds HERMITICITY_TOL *
+    max(1, largest |entry|).
     """
     mat = h.mat if isinstance(h, OperatorMatrix) else np.asarray(h, dtype=complex)
     if group_tol <= 0:
         raise ValueError("group_tol must be positive")
     if not np.isfinite(mat).all():
         raise NotHermitian("matrix has non-finite entries")
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
+    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(mat))):
         raise NotHermitian("matrix is not Hermitian within tolerance")
 
     w, v = np.linalg.eigh(mat)
     # the phase acts column by column, so one call serves every group
     v = _canonical_phase(v)
     bounds = _group_bounds(w, group_tol)
+    means, _ = _group_means(w, np.ones(len(w), dtype=np.int64), bounds[:-1])
     groups = tuple(
-        EigenGroup(float(np.mean(w[start:k])), k - start, v[:, start:k])
-        for start, k in zip(bounds, bounds[1:])
+        EigenGroup(value, k - start, v[:, start:k])
+        for value, start, k in zip(means.tolist(), bounds, bounds[1:])
     )
     return SpectralDecomposition(groups, mat.shape[0])
 

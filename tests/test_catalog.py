@@ -52,3 +52,24 @@ def test_catalog_variant_matches_reference(tmp_path, op):
     with contextlib.redirect_stdout(out):
         code = cli.main([op.command, "--scenario", str(path)])
     assert outputs.check(op.command, REFERENCE[op.key], code, out.getvalue()) is None
+
+
+def test_catalog_outputs_prints_one_sorted_line_per_run(capsys):
+    """`tools/catalog_outputs.py` runs every variant in both formats and
+    prints each run once, sorted, with what the CLI wrote."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "catalog_outputs.py"
+    spec = importlib.util.spec_from_file_location("catalog_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.main()
+    lines = capsys.readouterr().out.splitlines()
+    runs = [json.loads(line) for line in lines]
+    assert lines == sorted(lines) and len(runs) == 2 * len(VARIANTS)
+    assert {(run["key"], run["format"]) for run in runs} == {
+        (op.key, fmt) for op in VARIANTS for fmt in ("json", "table")
+    }
+    for run in runs:
+        assert (run["code"], run["stderr"]) == (0, "")
+        if run["format"] == "json":
+            op = next(op for op in VARIANTS if op.key == run["key"])
+            assert outputs.check(op.command, REFERENCE[op.key], 0, run["stdout"]) is None

@@ -236,11 +236,12 @@ def dense_spectrum(scenario, modes):
 @given(spectrum_cases())
 def test_spectrum_matches_the_dense_reference(case):
     scenario, modes = case
+    space = {"roster": scenario["roster"], "cutoff_s": scenario["cutoff_s"]}
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "scenario.json"
-        path.write_text(json.dumps(scenario))
         reports = []
-        for command in ("spectrum", "dims"):
+        for command, fields in (("spectrum", scenario), ("dims", space)):
+            path = Path(tmp) / f"{command}.json"
+            path.write_text(json.dumps(fields))
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 assert main([command, "--scenario", str(path)]) == 0
@@ -304,8 +305,9 @@ def test_spectrum_of_large_alphas_scales(tmp_path, capsys):
 def test_two_fermions_at_a_huge_cutoff(tmp_path, capsys, command):
     """Two fermions hold at most two particles, so cutoff_s 10**30 is the
     cutoff-2 space and runs at once."""
-    roster = [{"statistics": "fermion"}] * 2
-    scenario = {"roster": roster, "field": [{"mode": 1, "alpha": [0.5, 0]}]}
+    scenario = {"roster": [{"statistics": "fermion"}] * 2}
+    if command == "spectrum":
+        scenario["field"] = [{"mode": 1, "alpha": [0.5, 0]}]
     path = write_scenario(tmp_path, dict(scenario, cutoff_s=10**30))
     start = time.perf_counter()
     huge = run(capsys, [command, "--scenario", path])
@@ -461,12 +463,12 @@ def test_lattice_flags(capsys):
 
 def test_lattice_x0_over_the_budget_builds_no_slice(capsys, monkeypatch):
     """--x0 past the slice grid's share of SPACE_BUDGET exits 2 before
-    any slice is built; x0 = 88 is the last time whose (2·x0+1)³ grid of
+    the slice is counted; x0 = 88 is the last time whose (2·x0+1)³ grid of
     three coordinates a point fits in 2^24."""
     def unreachable(x0):
         raise AssertionError(f"slice built at x0={x0}")
 
-    monkeypatch.setattr(spacetime, "_slice_points", unreachable)
+    monkeypatch.setattr(spacetime, "_slice_classes", unreachable)
     argv = ["lattice", "--mass", "1", "--max-energy", "2", "--x0", "1000000"]
     assert run(capsys, argv) == (
         2, "", f"scenario error: x0: slice grid exceeds {cli.SPACE_BUDGET} coordinates\n"
@@ -604,21 +606,29 @@ def test_roster_momentum_null_or_four_ints(tmp_path, capsys, momentum):
         ([float("nan"), 0], {}, "field[0].alpha: must be a finite number"),
         ([float("inf"), 0], {}, "field[0].alpha: must be a finite number"),
         ([float("inf"), 0], {"self_interaction": True}, "field[0].alpha: must be a finite number"),
-        ([1e308, 1e308], {}, "field: spectrum is not finite"),
+        ([1e308, 1e308], {}, None),
         ([1e200, 0], {"self_interaction": True}, "field: spectrum is not finite"),
     ],
     ids=["nan", "inf", "inf-self", "overflow", "overflow-self"],
 )
 def test_spectrum_never_prints_non_finite_values(tmp_path, capsys, alpha, extra, message):
     """Non-finite alphas, and finite ones whose operator or spectrum
-    overflows, exit 2 with one scenario error line and no warning."""
+    overflows, exit 2 with one scenario error line and no warning.  A
+    finite spectrum prints even where its copies sum past the largest
+    float: ±|alpha| = ±1.414e308, four copies each."""
     scenario = dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": alpha}, {"mode": 1}], **extra)
     path = write_scenario(tmp_path, scenario)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, ["spectrum", "--scenario", path])
-    assert (code, out, err) == (2, "", f"scenario error: {message}\n")
     assert caught == []
+    if message is not None:
+        assert (code, out, err) == (2, "", f"scenario error: {message}\n")
+        return
+    assert (code, err) == (0, "")
+    (low, m_low), (high, m_high) = json.loads(out)["rows"]
+    assert (m_low, m_high) == (4, 4)
+    assert -low == high == pytest.approx(abs(complex(*alpha)), rel=1e-15)
 
 
 SPECTRUM_K3 = dict(FERMION_ROSTER_K3, field=[{"mode": 0}, {"mode": 1, "alpha": [0.0, 1.0]}])
@@ -665,7 +675,7 @@ MALFORMED = {
     "field-alpha-nan": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [float("nan"), 0]}])),
     "field-alpha-inf": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [0, float("inf")]}])),
     "field-alpha-huge-int": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [10**400, 0]}])),
-    "field-alpha-overflow": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [1e308, 1e308]}])),
+    "field-alpha-overflow": ("spectrum", dict(FERMION_ROSTER_K3, field=[{"mode": 0, "alpha": [1e308, 1e308]}, {"mode": 1, "alpha": [1e308, 1e308]}])),
     "lattice-r-negative": ("lattice", {"mass": 1, "r": -5}),
     "roster-off-shell": ("dims", {"roster": [{"mass": 1, "momentum": [1, 1, 0, 0]}], "cutoff_s": 1}),
     "field-dict": ("spectrum", dict(FERMION_ROSTER_K3, field={"mode": 0})),
@@ -796,6 +806,37 @@ def test_mutated_field_exits_0_or_2_cleanly(tmp_path, capsys, op, field):
         assert code in (0, 2), scenario
         if code == 2:
             assert out == "" and err.startswith("scenario error: ") and err.count("\n") == 1
+
+
+# a valid scenario with one misspelt field, per command
+MISSPELT = {
+    "dims": dict(FERMION_ROSTER_K3, dump_bases=True),
+    "verify": dict(FERMION_ROSTER_K3, cutoff=3),
+    "spectrum": dict(SPECTRUM_K3, self_interation=True),
+    "scatter": dict(SCATTER_R1, treshold=0.5),
+    "lattice": {"mass": 1, "r": 2, "x0": 1, "x_0": 2},
+}
+
+
+@pytest.mark.parametrize("command", MISSPELT)
+def test_misspelt_field_is_refused_first(tmp_path, capsys, command):
+    """A field the command does not read exits 2 naming it, before any
+    field is read: a broken known field ahead of it in the file is not
+    reported, and a second unknown field after it is not either."""
+    scenario = MISSPELT[command]
+    (misspelt,) = set(scenario) - set(cli.FIELDS[command])
+    path = write_scenario(tmp_path, scenario)
+    assert run(capsys, [command, "--scenario", path]) == (
+        2, "", f"scenario error: {misspelt}: unknown field\n"
+    )
+    known = {k: v for k, v in scenario.items() if k != misspelt}
+    first = next(iter(known))
+    broken = {**known, first: "x", misspelt: scenario[misspelt], "another_unknown": 1}
+    path = write_scenario(tmp_path, broken)
+    assert run(capsys, [command, "--scenario", path]) == (
+        2, "", f"scenario error: {misspelt}: unknown field\n"
+    )
+    assert run(capsys, [command, "--scenario", write_scenario(tmp_path, known)])[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from toyqft import cli, spacetime
 from toyqft.errors import EmptyRoster, UnknownMode
 from toyqft.ladder import OperatorMatrix
 from toyqft.scatter import _momentum_table, _slice_mask, _slice_table
-from toyqft.spacetime import _slice_points, phase
+from toyqft.spacetime import phase
 from toyqft.spectral import _Sector, apply_unitary_exp
 
 from conftest import ket
@@ -42,9 +42,18 @@ def boson_space(m1=1, m2=1, r=1, s=2):
     return build_space(roster, s)
 
 
+def slice_points(x0):
+    """The spatial points {|x| <= x0} of the time-x0 slice as integer rows
+    (x1, x2, x3), x1 slowest and x3 fastest, kept from the whole
+    (2·x0+1)³ grid."""
+    axis = np.arange(-x0, x0 + 1, dtype=np.int64)
+    x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    return x[(x * x).sum(1) <= x0 * x0]
+
+
 def space_slice(x0):
     """Lattice points (x0, x) with |x| <= x0, in the slice's order."""
-    return [LatticePoint(x0, tuple(x)) for x in _slice_points(x0).tolist()]
+    return [LatticePoint(x0, tuple(x)) for x in slice_points(x0).tolist()]
 
 
 def column(s, in_state):
@@ -232,7 +241,7 @@ def _slice_mask_by_point(space, x0, rows, cols):
     """The slice mask counted one slice point at a time: per entry, the
     quarter turns (P_n - P_m).x mod 4 of each point, from the true
     difference of the two kets' spatial momenta."""
-    points = _slice_points(x0)
+    points = slice_points(x0)
     momenta, _ = _momentum_table(space)
     d = momenta[cols, 1:] - momenta[rows, 1:]
     real = np.zeros(len(rows), dtype=np.int32)
@@ -268,7 +277,7 @@ def test_slice_table_matches_per_point_count(x0):
     """The table from the slice's residue classes mod 4 is the one from
     counting each slice point's quarter turns, bit for bit, and it is even
     in each component of d mod 4."""
-    points = _slice_points(x0)
+    points = slice_points(x0)
     d = np.arange(64)[:, None] >> np.array([4, 2, 0]) & 3  # class k's d
     turns = points @ d.T & 3  # one row per point
     counts = np.array([np.bincount(t, minlength=4) for t in turns.T])

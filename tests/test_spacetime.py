@@ -1,5 +1,9 @@
+import contextlib
 import functools
+import io
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from toyqft import (
     phase,
     space_volume,
 )
+from toyqft import cli, spacetime
 from toyqft.errors import DivisionByZeroEnergy, UnknownMode
 from toyqft.scatter import build_roster
 
@@ -130,6 +135,72 @@ def test_space_volume_monotone_and_bounded():
         assert v >= previous
         assert v <= (2 * x0 + 1) ** 3
         previous = v
+
+
+def grid_classes(x0):
+    """The slice's 64 class counts from its points: each x1 plane of the
+    (2·x0+1)³ grid, kept where |x| <= x0, binned by class 16 (x1 & 3) +
+    4 (x2 & 3) + (x3 & 3)."""
+    axis = np.arange(-x0, x0 + 1)
+    x2, x3 = np.meshgrid(axis, axis, indexing="ij")
+    counts = np.zeros(64, dtype=np.int64)
+    for x1 in axis.tolist():
+        ball = x1 * x1 + x2 * x2 + x3 * x3 <= x0 * x0
+        classes = 16 * (x1 & 3) + 4 * (x2[ball] & 3) + (x3[ball] & 3)
+        counts += np.bincount(classes, minlength=64)
+    return counts
+
+
+@pytest.mark.parametrize("x0", [*range(31), 60, 88])
+def test_slice_classes_match_the_point_grid(x0):
+    """Counting x3 per residue over the (x1, x2) disc gives the grid's
+    class counts, and their sum is the volume."""
+    counts = spacetime._slice_classes(x0)
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+    assert np.array_equal(counts, grid_classes(x0))
+    assert space_volume(x0) == counts.sum()
+
+
+def test_slice_classes_reject_negative_time():
+    with pytest.raises(ValueError, match="nonnegative"):
+        space_volume(-1)
+
+
+def traced_peak(call):
+    """call()'s result and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_space_volume_at_a_thousand_lists_no_point():
+    """The slice at x0 = 1000 holds 4,188,781,437 points (the sum over
+    (x1, x2) of 2 isqrt(x0^2 - x1^2 - x2^2) + 1); counting them by class
+    stays far below the 100 GB a list of their coordinates would take."""
+    spacetime._slice_classes.cache_clear()
+    volume, peak = traced_peak(lambda: space_volume(1000))
+    assert volume == 4_188_781_437
+    assert peak < 16 * 2**20
+
+
+def test_scatter_at_the_largest_x0_lists_no_point(tmp_path):
+    """A scatter at r=1, s=2 on the x0 = 88 slice, the largest the CLI
+    accepts, traces under 16 MiB; the slice's 2,854,025 points as int64
+    rows would take 65 MiB."""
+    scenario = {
+        "mass1": 1, "mass2": 1, "r": 1, "cutoff_s": 2, "x0": 88,
+        "in_state": {"modes": [[0, 1], [1, 1]]},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    spacetime._slice_classes.cache_clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code, peak = traced_peak(lambda: cli.main(["scatter", "--scenario", str(path)]))
+    assert code == 0 and json.loads(out.getvalue())["kind"] == "scatter"
+    assert peak < 16 * 2**20
 
 
 def test_field_at_single_mode():

@@ -4,11 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toyqft import eigh, free_field, projectors, reconstruct, self_interaction, unitary_exp
+from toyqft import (
+    eigh,
+    free_field,
+    interaction_field,
+    projectors,
+    reconstruct,
+    self_interaction,
+    unitary_exp,
+)
 from toyqft.errors import NotHermitian
 from toyqft.spectral import (
     BESSEL_TOL,
+    HERMITICITY_TOL,
     _bessel_orders,
+    _group_bounds,
     _canonical_phase,
     apply_unitary_exp,
     grouped_union,
@@ -202,12 +212,49 @@ def test_grouped_union_groups_as_eigh_does():
     assert grouped_union([1.0, 1.5], [1, 1], group_tol=0.4) == [(1.25, 2)]
 
 
-def test_grouped_union_overflows_as_eigh_does():
-    """A group whose copies sum past the largest float has value inf, as
-    `eigh`'s mean of those copies does."""
-    with np.errstate(over="ignore"):
-        assert grouped_union([1e308], [2]) == [(math.inf, 2)]
-        assert eigh(np.diag([1e308, 1e308]).astype(complex)).pairs()[0][0] == math.inf
+def test_grouped_union_stays_finite_as_eigh_does():
+    """A group whose copies sum past the largest float keeps a finite
+    value, its mean, in `grouped_union` and in `eigh`; up to the largest
+    float itself."""
+    big = np.finfo(float).max
+    assert grouped_union([1e308], [2]) == [(1e308, 2)]
+    assert grouped_union([big / 2, big], [1, 1], group_tol=1.0) == [(0.75 * big, 2)]
+    with np.errstate(over="ignore"):  # the gap from -big to big
+        assert grouped_union([-big, big], [3, 5]) == [(-big, 3), (big, 5)]
+    assert eigh(np.diag([1e308, 1e308]).astype(complex)).pairs() == [(1e308, 2)]
+
+
+def test_grouped_union_mean_is_the_plain_mean_where_finite(rng):
+    """Where Σ count·value / Σ count is finite, the group value is that
+    quotient bit for bit, at any scale."""
+    for scale in (1e-300, 1.0, 1e300):
+        values = rng.normal(size=40) * scale
+        values[::4] = values[1::4]  # some equal values, one group each
+        counts = rng.integers(1, 1000, size=40)
+        got = grouped_union(values, counts, group_tol=1e-3)
+        order = np.argsort(values, kind="stable")
+        w, m = values[order], counts[order]
+        starts = _group_bounds(w, 1e-3)[:-1]
+        plain = np.add.reduceat(w * m, starts) / np.add.reduceat(m, starts)
+        assert np.array([v for v, _ in got]).tobytes() == plain.tobytes()
+
+
+def test_hermiticity_is_checked_relative_to_the_largest_entry():
+    """A product of fields with alphas near 1e9 is Hermitian up to
+    rounding of its 1e18 entries and is decomposed; an asymmetry of 1e-6
+    of the largest entry is still refused."""
+    space = l_space(1, 2, 3)
+    phi = free_field(space, [(1, 1e9 * (1 + 0.3j)), (0, 2e9)])
+    psi = free_field(space, [(2, 1e9 * (0.3 + 1j)), (0, 1e9j)])
+    h = interaction_field(phi, psi)
+    assert np.max(np.abs(h.mat - h.mat.conj().T)) > HERMITICITY_TOL
+    decomp = eigh(h)
+    assert sum(decomp.multiplicities) == space.dimension
+    top = np.max(np.abs(h.mat))
+    skewed = h.mat.copy()
+    skewed[0, 1] += 1e-6 * top
+    with pytest.raises(NotHermitian):
+        eigh(skewed)
 
 
 def test_exp_action_of_zero_is_identity():
