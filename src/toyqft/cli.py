@@ -88,7 +88,8 @@ def _require(scenario, field, kind=None, minimum=None, default=_MISSING):
 
 
 # The top-level fields each command reads; `main` refuses any other
-# (`_known_fields`) before a field is read.
+# (`_known_fields`) before a field is read.  Each nested object's reader
+# does the same with that object's fields.
 FIELDS = {
     "dims": ("roster", "cutoff_s", "dump_basis"),
     "verify": ("roster", "cutoff_s"),
@@ -100,12 +101,12 @@ FIELDS = {
 }
 
 
-def _known_fields(scenario, command):
-    """ScenarioError naming the first field of `scenario`, in file order,
-    that `command` does not read."""
-    for field in scenario:
-        if field not in FIELDS[command]:
-            raise ScenarioError(field, "unknown field")
+def _known_fields(obj, fields, where=""):
+    """ScenarioError naming the first field of the object `obj`, in file
+    order, that is not in `fields`, as `where` + that field."""
+    for field in obj:
+        if field not in fields:
+            raise ScenarioError(where + field, "unknown field")
 
 
 def _parse_statistics(text, field):
@@ -115,12 +116,16 @@ def _parse_statistics(text, field):
         raise ScenarioError(field, f"unknown statistics {text!r}") from None
 
 
+ROSTER_ENTRY_FIELDS = ("label", "statistics", "mass", "momentum")
+
+
 def _parse_roster(scenario):
     entries = _require(scenario, "roster", list)
     modes = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ScenarioError(f"roster[{i}]", "expected object")
+        _known_fields(entry, ROSTER_ENTRY_FIELDS, f"roster[{i}].")
         stats = _parse_statistics(
             entry.get("statistics", "fermion"), f"roster[{i}].statistics"
         )
@@ -170,26 +175,26 @@ def _parse_sized_roster(scenario):
     return modes, cutoff
 
 
-def _slice_x0(value):
-    """value as the slice time x0 if its (2·x0+1)³ grid of spatial points,
-    three int64 coordinates each, would fit in SPACE_BUDGET (x0 <= 88 at
-    2^24); checked before the slice is counted.  The slice is counted by
-    class (`spacetime._slice_classes`), not listed, so the grid is only
-    the bound's measure."""
-    x0 = _typed(value, "x0", int, minimum=0)
-    if 3 * (2 * x0 + 1) ** 3 > SPACE_BUDGET:
-        raise ScenarioError("x0", f"slice grid exceeds {SPACE_BUDGET} coordinates")
-    return x0
+# The steps of the loop each lattice input drives: the slice count
+# (`spacetime._slice_classes`) walks (2·x0+1)² (x1, x2) columns, the shell
+# enumeration (`hyperboloid`) at most (r+1)·(2r+1)² (p0, p1, p2).
+LOOP_STEPS = {
+    "slice count": lambda x0: (2 * x0 + 1) ** 2,
+    "shell enumeration": lambda r: (r + 1) * (2 * r + 1) ** 2,
+}
 
 
-def _shell_r(value, field):
-    """value as the shells' largest energy r if `hyperboloid`'s loop over
-    (p0, p1, p2), at most (r+1)·(2r+1)² steps, fits in SPACE_BUDGET
-    (r <= 160 at 2^24); checked before any shell is enumerated."""
-    r = _typed(value, field, int, minimum=0)
-    if (r + 1) * (2 * r + 1) ** 2 > SPACE_BUDGET:
-        raise ScenarioError(field, f"shell enumeration exceeds {SPACE_BUDGET} steps")
-    return r
+def _lattice_input(value, field, loop):
+    """value as a nonnegative int if the `loop` it drives takes at most
+    SPACE_BUDGET steps (x0 <= 2047, r <= 160 at 2^24); checked before
+    the loop runs."""
+    n = _typed(value, field, int, minimum=0)
+    if LOOP_STEPS[loop](n) > SPACE_BUDGET:
+        raise ScenarioError(field, f"{loop} exceeds {SPACE_BUDGET} steps")
+    return n
+
+
+FIELD_TERM_FIELDS = ("mode", "alpha")
 
 
 def _parse_field(modes, terms, field_name):
@@ -197,6 +202,8 @@ def _parse_field(modes, terms, field_name):
     every term well typed, then no id twice, then every id in the roster."""
     parsed = []
     for i, term in enumerate(terms):
+        if isinstance(term, dict):
+            _known_fields(term, FIELD_TERM_FIELDS, f"{field_name}[{i}].")
         if not isinstance(term, dict) or "mode" not in term:
             raise ScenarioError(f"{field_name}[{i}]", "expected {mode, alpha}")
         mode_id = _typed(term["mode"], f"{field_name}[{i}].mode", int)
@@ -283,7 +290,12 @@ def _field_spectrum(modes, cutoff, terms, terms2, square, group_tol):
     return groups
 
 
+STATE_FIELDS = ("modes",)
+
+
 def _parse_state(space, raw, field_name):
+    if isinstance(raw, dict):
+        _known_fields(raw, STATE_FIELDS, f"{field_name}.")
     if not (isinstance(raw, dict) and isinstance(raw.get("modes"), list)):
         raise ScenarioError(field_name, "expected {modes: [[id, count], ...]}")
     row = np.zeros((1, len(space.modes)), dtype=np.int64)
@@ -427,9 +439,9 @@ def _run_scatter(scenario, args):
     coupling = _typed(args.coupling, "coupling", float)
     mass1 = _require(scenario, "mass1", int, minimum=1)
     mass2 = _require(scenario, "mass2", int, minimum=1)
-    r = _shell_r(_require(scenario, "r"), "r")
+    r = _lattice_input(_require(scenario, "r"), "r", "shell enumeration")
     cutoff = _require(scenario, "cutoff_s", int, minimum=1)
-    x0 = _slice_x0(_require(scenario, "x0"))
+    x0 = _lattice_input(_require(scenario, "x0"), "x0", "slice count")
     threshold = _require(scenario, "threshold", (int, float), 0, default=0.0)
     stats = _require(scenario, "statistics", default=["boson", "boson"])
     if not (isinstance(stats, list) and len(stats) == 2):
@@ -478,18 +490,18 @@ def _run_scatter(scenario, args):
 def _run_lattice(scenario, args):
     if scenario is not None:
         mass = _require(scenario, "mass", int, minimum=0)
-        r = _shell_r(_require(scenario, "r"), "r")
-        x0 = _require(scenario, "x0", default=None)
+        r = _lattice_input(_require(scenario, "r"), "r", "shell enumeration")
+        x0 = _require(scenario, "x0", int, minimum=0, default=None)
     else:
         if args.mass is None or args.max_energy is None:
             raise ScenarioError(
                 "lattice", "--mass and --max-energy (or --scenario) required"
             )
         mass = _typed(args.mass, "mass", int, minimum=0)
-        r = _shell_r(args.max_energy, "max_energy")
+        r = _lattice_input(args.max_energy, "max_energy", "shell enumeration")
         x0 = args.x0
     if x0 is not None:
-        x0 = _slice_x0(x0)
+        x0 = _lattice_input(x0, "x0", "slice count")
     points = hyperboloid(mass, r)
     report = {
         "kind": "lattice",
@@ -570,7 +582,7 @@ def main(argv=None):
         scenario = None
         if args.scenario is not None:
             scenario = _load_scenario(args.scenario)
-            _known_fields(scenario, args.command)
+            _known_fields(scenario, FIELDS[args.command])
         # runners render while their arrays are alive: text made after they
         # are freed lands in that heap space, and a caller that keeps every
         # output (benchmarks/run.py) then faults it back in on each op

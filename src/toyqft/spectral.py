@@ -62,9 +62,12 @@ def _canonical_phase(vectors):
 def _group_bounds(w, group_tol):
     """[0, each group's first index after the first, len(w)] for ascending
     values w: two neighbours join one group iff their gap is at most
-    group_tol * max(1, spectral radius)."""
+    group_tol * max(1, spectral radius).  A gap past the largest float
+    is inf, which splits its neighbours as its true value would."""
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return [0, *(np.flatnonzero(np.diff(w) > group_tol * scale) + 1).tolist(), len(w)]
+    with np.errstate(over="ignore"):
+        gaps = np.diff(w)
+    return [0, *(np.flatnonzero(gaps > group_tol * scale) + 1).tolist(), len(w)]
 
 
 def _group_means(w, counts, starts):

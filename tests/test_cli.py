@@ -35,6 +35,7 @@ from toyqft import (
     self_interaction,
     spacetime,
 )
+import toyqft.scatter
 from toyqft.cli import emit_report, main
 from toyqft.ladder import OperatorMatrix
 
@@ -459,23 +460,55 @@ def test_lattice_flags(capsys):
     report = json.loads(out)
     assert len(report["hyperboloid"]) == 9
     assert report["space_volume"] == {"x0": 1, "volume": 7}
+    # with no x0, as with a scenario that has none, no volume is counted
+    code, out, _ = run(capsys, ["lattice", "--mass", "1", "--max-energy", "2"])
+    assert code == 0 and "space_volume" not in json.loads(out)
 
 
-def test_lattice_x0_over_the_budget_builds_no_slice(capsys, monkeypatch):
-    """--x0 past the slice grid's share of SPACE_BUDGET exits 2 before
-    the slice is counted; x0 = 88 is the last time whose (2·x0+1)³ grid of
-    three coordinates a point fits in 2^24."""
-    def unreachable(x0):
-        raise AssertionError(f"slice built at x0={x0}")
+def x0_argvs(tmp_path, x0):
+    """The three ways to ask for slice time x0: scatter, lattice
+    --scenario and lattice --x0."""
+    return [
+        ["scatter", "--scenario", write_scenario(tmp_path, dict(SCATTER_R1, x0=x0), "s.json")],
+        ["lattice", "--scenario", write_scenario(tmp_path, {"mass": 1, "r": 2, "x0": x0})],
+        ["lattice", "--mass", "1", "--max-energy", "2", "--x0", str(x0)],
+    ]
 
-    monkeypatch.setattr(spacetime, "_slice_classes", unreachable)
-    argv = ["lattice", "--mass", "1", "--max-energy", "2", "--x0", "1000000"]
-    assert run(capsys, argv) == (
-        2, "", f"scenario error: x0: slice grid exceeds {cli.SPACE_BUDGET} coordinates\n"
-    )
-    assert cli._slice_x0(88) == 88
-    with pytest.raises(cli.ScenarioError, match="^x0: slice grid exceeds"):
-        cli._slice_x0(89)
+
+def test_lattice_x0_over_the_budget_builds_no_slice(tmp_path, capsys, monkeypatch):
+    """x0 = 2047 is the last time whose slice count walks at most 2^24
+    (x1, x2) columns (4095² = 16,769,025 <= 2^24 < 4097²): it passes the
+    reader, and x0 = 2048 exits 2 before the slice is counted, in each of
+    `x0_argvs`.  The slice is replaced by one point, so nothing is
+    counted at either time."""
+    counted = []
+
+    def one_point(x0):
+        counted.append(x0)
+        if x0 > 2047:
+            raise AssertionError(f"slice counted at x0={x0}")
+        return np.eye(1, 64, dtype=np.int64)[0]
+
+    monkeypatch.setattr(spacetime, "_slice_classes", one_point)
+    monkeypatch.setattr(toyqft.scatter, "_slice_classes", one_point)
+    for argv in x0_argvs(tmp_path, 2047):
+        assert run(capsys, argv)[0] == 0
+    assert counted == [2047] * 3  # one slice per run
+    for argv in x0_argvs(tmp_path, 2048):
+        assert run(capsys, argv) == (
+            2, "", f"scenario error: x0: slice count exceeds {cli.SPACE_BUDGET} steps\n"
+        )
+    assert counted == [2047] * 3
+
+
+def test_lattice_at_the_largest_x0():
+    """`lattice --x0 2047`, the largest slice the CLI counts, prints its
+    35,928,709,463 points (about 1 s)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["lattice", "--mass", "1", "--max-energy", "2", "--x0", "2047"])
+    assert code == 0
+    assert json.loads(out.getvalue())["space_volume"] == {"x0": 2047, "volume": 35_928_709_463}
 
 
 SCATTER_R1 = {
@@ -702,6 +735,7 @@ MALFORMED = {
     "field2-null": ("spectrum", dict(SPECTRUM_K3, field2=None)),
     "x0-huge": ("scatter", dict(SCATTER_R1, x0=100000)),
     "lattice-x0-huge": ("lattice", {"mass": 1, "r": 2, "x0": 100000}),
+    "lattice-x0-null": ("lattice", {"mass": 1, "r": 2, "x0": None}),
     # a list command is the whole argv, with no scenario file written
     "lattice-no-max-energy": (["lattice", "--mass", "1"], None),
     "lattice-max-energy-huge": (["lattice", "--mass", "1", "--max-energy", str(2**70)], None),
@@ -729,8 +763,9 @@ MALFORMED_MESSAGES = {
     "state-count-huge": "in_state: state outside the basis",
     "spectrum-field2-and-self": "self_interaction: cannot be combined with field2",
     "field2-null": "field2: expected list",
-    "x0-huge": f"x0: slice grid exceeds {cli.SPACE_BUDGET} coordinates",
-    "lattice-x0-huge": f"x0: slice grid exceeds {cli.SPACE_BUDGET} coordinates",
+    "x0-huge": f"x0: slice count exceeds {cli.SPACE_BUDGET} steps\n",
+    "lattice-x0-huge": f"x0: slice count exceeds {cli.SPACE_BUDGET} steps\n",
+    "lattice-x0-null": "x0: expected int\n",
     "threshold-huge": "threshold: must be a finite number",
     "threshold-infinity": "threshold: must be a finite number",
     "r-huge": f"r: shell enumeration exceeds {cli.SPACE_BUDGET} steps",
@@ -837,6 +872,48 @@ def test_misspelt_field_is_refused_first(tmp_path, capsys, command):
         2, "", f"scenario error: {misspelt}: unknown field\n"
     )
     assert run(capsys, [command, "--scenario", write_scenario(tmp_path, known)])[0] == 0
+
+
+# one nested object with a misspelt field per kind: (command, the valid
+# scenario holding that object, the object, where the refusal points)
+NESTED_MISSPELT = {
+    "roster-entry": (
+        "dims",
+        lambda entry: {"roster": [{"statistics": "boson"}, entry], "cutoff_s": 2},
+        {"statistics": "boson", "mas": 2},
+        "roster[1].mas",
+    ),
+    "field-term": (
+        "spectrum",
+        lambda term: dict(SPECTRUM_K3, field2=[{"mode": 0}, term]),
+        {"mode": 1, "alpah": [2, 0]},
+        "field2[1].alpah",
+    ),
+    "in-state": (
+        "scatter",
+        lambda state: dict(SCATTER_R1, in_state=state),
+        {"modes": [[0, 1], [1, 1]], "mode": []},
+        "in_state.mode",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", NESTED_MISSPELT)
+def test_nested_misspelt_field_is_refused_first(tmp_path, capsys, kind):
+    """A field a nested object's reader does not read exits 2 naming it,
+    before any of that object's fields is read: a broken known field
+    ahead of it is not reported, and a second unknown field after it is
+    not either."""
+    command, scenario, obj, where = NESTED_MISSPELT[kind]
+    misspelt = where.rpartition(".")[2]
+    known = {k: v for k, v in obj.items() if k != misspelt}
+    broken = {k: "x" for k in known} | {misspelt: obj[misspelt], "another_unknown": 1}
+    for nested in (obj, broken):
+        path = write_scenario(tmp_path, scenario(nested))
+        assert run(capsys, [command, "--scenario", path]) == (
+            2, "", f"scenario error: {where}: unknown field\n"
+        )
+    assert run(capsys, [command, "--scenario", write_scenario(tmp_path, scenario(known))])[0] == 0
 
 
 @pytest.mark.parametrize(

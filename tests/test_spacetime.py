@@ -186,11 +186,11 @@ def test_space_volume_at_a_thousand_lists_no_point():
 
 
 def test_scatter_at_the_largest_x0_lists_no_point(tmp_path):
-    """A scatter at r=1, s=2 on the x0 = 88 slice, the largest the CLI
-    accepts, traces under 16 MiB; the slice's 2,854,025 points as int64
-    rows would take 65 MiB."""
+    """A scatter at r=1, s=2 on the x0 = 2047 slice, the largest the CLI
+    accepts, traces under 16 MiB; the slice's 35,928,709,463 points as
+    int64 rows would take 862 GB."""
     scenario = {
-        "mass1": 1, "mass2": 1, "r": 1, "cutoff_s": 2, "x0": 88,
+        "mass1": 1, "mass2": 1, "r": 1, "cutoff_s": 2, "x0": 2047,
         "in_state": {"modes": [[0, 1], [1, 1]]},
     }
     path = tmp_path / "scenario.json"

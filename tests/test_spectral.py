@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -215,13 +216,16 @@ def test_grouped_union_groups_as_eigh_does():
 def test_grouped_union_stays_finite_as_eigh_does():
     """A group whose copies sum past the largest float keeps a finite
     value, its mean, in `grouped_union` and in `eigh`; up to the largest
-    float itself."""
+    float itself.  The gap from -big to big overflows to inf, which
+    splits the two values, with no warning."""
     big = np.finfo(float).max
-    assert grouped_union([1e308], [2]) == [(1e308, 2)]
-    assert grouped_union([big / 2, big], [1, 1], group_tol=1.0) == [(0.75 * big, 2)]
-    with np.errstate(over="ignore"):  # the gap from -big to big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grouped_union([1e308], [2]) == [(1e308, 2)]
+        assert grouped_union([big / 2, big], [1, 1], group_tol=1.0) == [(0.75 * big, 2)]
         assert grouped_union([-big, big], [3, 5]) == [(-big, 3), (big, 5)]
-    assert eigh(np.diag([1e308, 1e308]).astype(complex)).pairs() == [(1e308, 2)]
+        assert eigh(np.diag([1e308, 1e308]).astype(complex)).pairs() == [(1e308, 2)]
+        assert [m for _, m in eigh(np.diag([-big, big]).astype(complex)).pairs()] == [1, 1]
 
 
 def test_grouped_union_mean_is_the_plain_mean_where_finite(rng):
