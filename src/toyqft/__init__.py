@@ -6,6 +6,7 @@ from .fock import (
     ParticleMode,
     Statistics,
     build_space,
+    count_kets,
 )
 from .ladder import (
     OperatorMatrix,
@@ -19,6 +20,7 @@ from .fields import (
     FormClassification,
     Parity,
     classify_form,
+    field_spectrum,
     free_field,
     interaction_field,
     self_interaction,
@@ -46,6 +48,7 @@ from .scatter import (
     hamiltonian,
     hamiltonian_density,
     probability_table,
+    scatter_column,
     scattering_operator,
 )
 

@@ -11,27 +11,20 @@ import csv
 import functools
 import io
 import json
-import math
 import random
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .errors import ScenarioError, ToyQFTError, UnknownMode
-from .fields import free_field
-from .fock import ParticleMode, Statistics, build_space
+from .errors import CouplingTooLarge, NotFinite, ScenarioError, ToyQFTError, UnknownMode
+from .fields import field_spectrum
+from .fock import ParticleMode, Statistics, build_space, count_kets
 from .ladder import algebra_violations, annihilator, creator
-from .scatter import build_roster, hamiltonian, probability_table
+from .scatter import build_roster, probability_table, scatter_column
 from .spacetime import hyperboloid, shell_size, space_volume
-from .spectral import DEFAULT_GROUP_TOL, apply_unitary_exp, grouped_union
+from .spectral import DEFAULT_GROUP_TOL
 
-# Largest |g|·‖H‖₁ that scatter accepts, H the block on the in-state's
-# (-1)^N sector that the series runs on.  exp(igH)|in> costs about |g|ρ
-# products with H on the in-state's kets, ρ ≤ ‖H‖₁ the bound the series
-# scales by, so |g|·‖H‖₁ is a conservative ceiling on that cost.
-COUPLING_BOUND = 1e4
 # Largest kets x modes, the size of a space's count table, that a scenario
 # may ask for (128 MiB of int64 counts); checked before the space is built.
 SPACE_BUDGET = 2**24
@@ -146,23 +139,11 @@ def _parse_roster(scenario):
     return modes
 
 
-def _occupations(fermions, bosons, most):
-    """Running counts of the occupations of `fermions` fermion and `bosons`
-    boson modes that hold at most `most` particles, in closed form: one
-    count per k = 0, 1, ... fermions, adding those with k fermions and at
-    most most - k bosons.  The last, and largest, is the total; there is
-    none if most < 0."""
-    kets = 0
-    for k in range(min(fermions, most) + 1):
-        kets += math.comb(fermions, k) * math.comb(bosons + most - k, bosons)
-        yield kets
-
-
 def _check_size(statistics, cutoff):
     """ScenarioError naming cutoff_s if the space at `cutoff` of one mode
     per entry of `statistics` holds more than SPACE_BUDGET kets x modes."""
     fermions = statistics.count(Statistics.FERMION)
-    for kets in _occupations(fermions, len(statistics) - fermions, cutoff):
+    for kets in count_kets(fermions, len(statistics) - fermions, cutoff):
         if kets * len(statistics) > SPACE_BUDGET:
             raise ScenarioError("cutoff_s", f"space exceeds {SPACE_BUDGET} kets x modes")
 
@@ -222,72 +203,6 @@ def _parse_field(modes, terms, field_name):
         if not 0 <= mode_id < len(modes):
             raise ScenarioError(field_name, f"mode id {mode_id} not in roster")
     return parsed
-
-
-def _field_spectrum(modes, cutoff, terms, terms2, square, group_tol):
-    """`grouped_union` of the spectrum of the field `terms` (its square if
-    `square`), or of ½{phi, psi} with the field `terms2`, on the space of
-    `modes` at `cutoff`, diagonalizing only the modes the fields name.
-
-    The operator keeps every other (spectator) mode's count.  On the kets
-    of a spectator occupation of k particles it is the named modes' own
-    operator at cutoff cutoff - k, up to a sign on each named fermion
-    that conjugating by its (-1)^N removes.  So the spectrum is the union
-    over budgets b of the named operator at cutoff b, which the leading
-    blocks of the fields at `cutoff` give (kets ascend in total count),
-    counted once per spectator occupation of cutoff - b particles; the
-    top budget, the named space's largest total, takes every occupation
-    of at most cutoff - top.  A field moves one count by 1, so it is a
-    block P from odd-total to even-total kets and P* back: phi is ±σ, the
-    singular values of P, and |#even - #odd| zeros; phi² is σ² twice and
-    those zeros; ½{phi, psi} is ½(PQ* + QP*) and ½(P*Q + Q*P).
-    """
-    named = sorted({mode_id for mode_id, _ in terms + (terms2 or [])})
-    local = {mode_id: k for k, mode_id in enumerate(named)}
-    space = build_space([replace(modes[i], id=k) for k, i in enumerate(named)], cutoff)
-    totals = space.occupations.sum(1)  # ascending
-    even, odd = np.flatnonzero(totals % 2 == 0), np.flatnonzero(totals % 2)
-    p, q = (
-        None if spec is None
-        else free_field(space, [(local[i], a) for i, a in spec]).mat[np.ix_(even, odd)]
-        for spec in (terms, terms2)
-    )
-    top = int(totals[-1])
-    spectators = [m.statistics for m in modes if m.id not in local]
-    fermions = spectators.count(Statistics.FERMION)
-
-    def at_most(most):  # spectator occupations of at most `most` particles
-        return max(_occupations(fermions, len(spectators) - fermions, most), default=0)
-
-    counts = [at_most(cutoff - b) - at_most(cutoff - b - 1) for b in range(top)]
-    counts.append(at_most(cutoff - top))
-    values, weights = [], []
-    for budget, count in enumerate(counts):
-        if not count:
-            continue
-        size = totals.searchsorted(budget, side="right")
-        rows, cols = even.searchsorted(size), odd.searchsorted(size)
-        p_b = p[:rows, :cols]
-        if q is None:
-            blocks = [p_b]
-        else:
-            q_b = q[:rows, :cols]
-            on_even, on_odd = p_b @ q_b.conj().T, p_b.conj().T @ q_b
-            blocks = [0.5 * (b + b.conj().T) for b in (on_even, on_odd)]
-        if not all(np.isfinite(block).all() for block in blocks):
-            raise ScenarioError("field", "spectrum is not finite")
-        if q is None:
-            sigma = np.linalg.svd(p_b, compute_uv=False)
-            pair = (sigma * sigma,) * 2 if square else (-sigma, sigma)
-            w = np.concatenate([*pair, np.zeros(abs(rows - cols))])
-        else:
-            w = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
-        values.append(w)
-        weights.append(np.full(len(w), count))
-    groups = grouped_union(np.concatenate(values), np.concatenate(weights), group_tol)
-    if not np.isfinite([value for value, _ in groups]).all():
-        raise ScenarioError("field", "spectrum is not finite")
-    return groups
 
 
 STATE_FIELDS = ("modes",)
@@ -423,10 +338,10 @@ def _run_spectrum(scenario, args):
         if square:
             raise ScenarioError("self_interaction", "cannot be combined with field2")
         terms2 = _parse_field(modes, terms2, "field2")
-    # finite alphas can still overflow the operator or its spectrum: that
-    # is one scenario error, with no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        groups = _field_spectrum(modes, cutoff, terms, terms2, square, args.tol)
+    try:
+        groups = field_spectrum(modes, cutoff, terms, terms2, square, args.tol)
+    except NotFinite as exc:
+        raise ScenarioError("field", str(exc)) from None
     report = {
         "kind": "spectrum",
         "columns": ["lambda", "multiplicity"],
@@ -457,21 +372,12 @@ def _run_scatter(scenario, args):
         raise ScenarioError("scatter", str(exc)) from exc
     space = build_space(roster, cutoff)
     n_in = _parse_state(space, _require(scenario, "in_state"), "in_state")
-    # each field moves one count by 1, so H keeps the in-state's (-1)^N
-    parity = space.occupations.sum(1) % 2
-    sector = np.flatnonzero(parity == parity[n_in])
-    h = hamiltonian(space, x0, r, mass1, mass2, sector)
-    scale = abs(coupling) * h.one_norm()
-    if scale > COUPLING_BOUND:
-        raise ScenarioError("coupling", f"|g|·‖H‖₁ = {_sig12(scale)} exceeds 1e4")
-    e_in = np.zeros(space.dimension, dtype=complex)
-    e_in[n_in] = 1
+    try:
+        column = scatter_column(space, x0, r, mass1, mass2, n_in, coupling)
+    except CouplingTooLarge as exc:
+        raise ScenarioError("coupling", f"|g|·‖H‖₁ = {_sig12(exc.scale)} exceeds 1e4") from None
     kets, probabilities, conserves = probability_table(
-        space,
-        apply_unitary_exp(h, e_in, coupling),
-        n_in,
-        threshold,
-        enforce_conservation=args.enforce_conservation,
+        space, column, n_in, threshold, enforce_conservation=args.enforce_conservation
     )
     (in_label,) = _labels(space, [n_in])
     report = {

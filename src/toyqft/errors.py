@@ -41,6 +41,18 @@ class EmptyRoster(ToyQFTError):
     """Scattering roster construction produced no modes."""
 
 
+class NotFinite(ToyQFTError):
+    """A computed spectrum holds an infinite or NaN value."""
+
+
+class CouplingTooLarge(ToyQFTError):
+    """|g|·‖H‖₁, held as `scale`, exceeds `scatter.COUPLING_BOUND`."""
+
+    def __init__(self, scale):
+        self.scale = scale
+        super().__init__(f"|g|·‖H‖₁ = {scale!r} exceeds the coupling bound")
+
+
 class ScenarioError(ToyQFTError):
     """Scenario file failed schema validation."""
 

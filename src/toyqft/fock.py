@@ -5,6 +5,7 @@ boson) and a cutoff s on the total particle number.  Pure-fermion,
 pure-boson and mixed spaces are all instances of the same construction.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -183,6 +184,18 @@ def _row_keys(rows):
     """One opaque, sortable key per row of a C-contiguous count table."""
     width = rows.itemsize * rows.shape[1]  # 0 only for the no-mode vacuum
     return rows.view(f"V{width}").ravel() if width else np.zeros(len(rows), "V1")
+
+
+def count_kets(fermions, bosons, cutoff):
+    """Running counts of the kets of `fermions` fermion and `bosons` boson
+    modes that hold at most `cutoff` particles, in closed form: one count
+    per k = 0, 1, ... fermions, adding those with k fermions and at most
+    cutoff - k bosons.  The last, and largest, is the space's dimension;
+    there is none if cutoff < 0."""
+    kets = 0
+    for k in range(min(fermions, cutoff) + 1):
+        kets += math.comb(fermions, k) * math.comb(bosons + cutoff - k, bosons)
+        yield kets
 
 
 def build_space(modes, cutoff_s):

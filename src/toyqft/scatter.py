@@ -14,11 +14,18 @@ import functools
 
 import numpy as np
 
+from .errors import CouplingTooLarge
 from .fields import interaction_field
 from .fock import ParticleMode, Statistics
 from .ladder import OperatorMatrix
 from .spacetime import LatticePoint, _shell, _slice_classes, field_at
-from .spectral import eigh, unitary_exp
+from .spectral import apply_unitary_exp, eigh, unitary_exp
+
+# Largest |g|·‖H‖₁ that `scatter_column` accepts, H the block on the
+# in-ket's (-1)^N sector that the series runs on.  exp(igH)|in> costs
+# about |g|ρ products with H on the in-ket's kets, ρ ≤ ‖H‖₁ the bound the
+# series scales by, so |g|·‖H‖₁ is a conservative ceiling on that cost.
+COUPLING_BOUND = 1e4
 
 
 def build_roster(mass1, mass2, r, statistics1=Statistics.BOSON,
@@ -51,9 +58,10 @@ def _momentum_table(space):
     """(P, labeled): P[n] is ket n's summed 4-momentum, an unlabeled mode
     adding 0, and labeled[n] says ket n occupies no unlabeled mode."""
     occ = space.occupations
-    labels = np.array([m.momentum or (0,) * 4 for m in space.modes], dtype=np.int64)
+    labels = np.array([m.momentum or (0,) * 4 for m in space.modes], dtype=float)
     unlabeled = [m.momentum is None for m in space.modes]
-    return occ @ labels.reshape(-1, 4), ~occ[:, unlabeled].any(1)
+    # in float64, through BLAS (int64 is not): exact, every partial sum <= s·r in size
+    return (occ @ labels.reshape(-1, 4)).astype(np.int64), ~occ[:, unlabeled].any(1)
 
 
 def hamiltonian(space, x0, r, m1, m2, kets=None):
@@ -142,6 +150,22 @@ def scattering_operator(h, coupling=1.0):
     op = coupling * h if coupling != 1.0 else h
     u = unitary_exp(eigh(op))
     return OperatorMatrix(h.space, u)
+
+
+def scatter_column(space, x0, r, m1, m2, n_in, coupling=1.0):
+    """S|in> = exp(igH)|in> (`apply_unitary_exp`) for the basis ket n_in,
+    with H (`hamiltonian`) built only on the in-ket's (-1)^N sector: each
+    field moves one count by 1, so H keeps it.  Raises CouplingTooLarge,
+    before any product, if |g|·‖H‖₁ there exceeds COUPLING_BOUND."""
+    parity = space.occupations.sum(1) % 2
+    sector = np.flatnonzero(parity == parity[n_in])
+    h = hamiltonian(space, x0, r, m1, m2, sector)
+    scale = abs(coupling) * h.one_norm()
+    if scale > COUPLING_BOUND:
+        raise CouplingTooLarge(scale)
+    e_in = np.zeros(space.dimension, dtype=complex)
+    e_in[n_in] = 1
+    return apply_unitary_exp(h, e_in, coupling)
 
 
 def probability_table(space, amplitudes, n_in, threshold=0.0,

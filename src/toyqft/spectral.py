@@ -277,13 +277,17 @@ def apply_unitary_exp(h, vector, coupling=1.0):
     bessel = _bessel_orders(z)
     turns = (1, 1j, -1, -1j) if coupling > 0 else (1, -1j, -1, 1j)  # (+-i)^k
     twice_x = sector.data * (2 / rho)
-    start = v[sector.kets]
-    total = bessel[0] * start
-    prev, cur = start, start
+    cur = v[sector.kets]
+    total = bessel[0] * cur
+    prev, term = np.empty_like(cur), np.empty_like(cur)  # T_{k+1} overwrites T_{k-1}
     for k in range(1, len(bessel)):
         step = sector.product(twice_x, cur)
-        prev, cur = cur, (0.5 * step if k == 1 else step - prev)
-        total += (2 * turns[k % 4] * bessel[k]) * cur
+        if k == 1:
+            np.multiply(0.5, step, out=prev)
+        else:
+            np.subtract(step, prev, out=prev)
+        prev, cur = cur, prev
+        total += np.multiply(2 * turns[k % 4] * bessel[k], cur, out=term)
     out = np.zeros_like(v)
     out[sector.kets] = total
     return out

@@ -35,6 +35,7 @@ from toyqft import (
     self_interaction,
     spacetime,
 )
+import toyqft.fields
 import toyqft.scatter
 from toyqft.cli import emit_report, main
 from toyqft.ladder import OperatorMatrix
@@ -272,7 +273,7 @@ def test_spectrum_builds_only_the_named_modes(tmp_path, capsys, monkeypatch):
         built.append((tuple(modes), cutoff))
         return build_space(modes, cutoff)
 
-    monkeypatch.setattr(cli, "build_space", recording)
+    monkeypatch.setattr(toyqft.fields, "build_space", recording)
     path = write_scenario(tmp_path, scenario)
     assert run(capsys, ["spectrum", "--scenario", path])[0] == 0
     modes = [
@@ -923,7 +924,7 @@ def test_in_state_checked_before_hamiltonian(tmp_path, capsys, monkeypatch, name
     def unreachable(*args):
         raise AssertionError("hamiltonian built before in_state was checked")
 
-    monkeypatch.setattr(cli, "hamiltonian", unreachable)
+    monkeypatch.setattr(toyqft.scatter, "hamiltonian", unreachable)
     code, out, err = run(capsys, malformed_argv(tmp_path, name))
     assert (code, out) == (2, "")
     assert err.startswith("scenario error:")
@@ -1201,8 +1202,8 @@ def test_scatter_rejects_coupling_over_bound(tmp_path, capsys, monkeypatch, over
     def unreachable(*args):
         raise AssertionError("exp action started before the coupling was checked")
 
-    monkeypatch.setattr(cli, "apply_unitary_exp", unreachable)
-    coupling = repr(cli.COUPLING_BOUND / _r1_norm() * (1 + 1e-9)) if over == "just-over" else over
+    monkeypatch.setattr(toyqft.scatter, "apply_unitary_exp", unreachable)
+    coupling = repr(toyqft.scatter.COUPLING_BOUND / _r1_norm() * (1 + 1e-9)) if over == "just-over" else over
     path = write_scenario(tmp_path, SCATTER_R1)
     code, out, err = run(capsys, ["scatter", "--scenario", path, f"--coupling={coupling}"])
     assert (code, out) == (2, "")
@@ -1211,7 +1212,7 @@ def test_scatter_rejects_coupling_over_bound(tmp_path, capsys, monkeypatch, over
 
 
 def test_scatter_coupling_just_under_bound_runs(tmp_path, capsys):
-    coupling = repr(cli.COUPLING_BOUND / _r1_norm() * (1 - 1e-9))
+    coupling = repr(toyqft.scatter.COUPLING_BOUND / _r1_norm() * (1 - 1e-9))
     path = write_scenario(tmp_path, SCATTER_R1)
     code, out, _ = run(capsys, ["scatter", "--scenario", path, f"--coupling={coupling}"])
     assert code == 0
@@ -1233,11 +1234,11 @@ def _r2_even_norm():
 def test_scatter_guard_uses_the_sector_norm(tmp_path, capsys):
     assert _r2_even_norm() == 25.0
     path = write_scenario(tmp_path, SCATTER_R2_EVEN)
-    under = repr(cli.COUPLING_BOUND / _r2_even_norm() * (1 - 1e-9))
+    under = repr(toyqft.scatter.COUPLING_BOUND / _r2_even_norm() * (1 - 1e-9))
     code, out, _ = run(capsys, ["scatter", "--scenario", path, f"--coupling={under}"])
     assert code == 0
     assert sum(row[1] for row in json.loads(out)["rows"]) == pytest.approx(1.0, abs=1e-9)
-    over = repr(cli.COUPLING_BOUND / _r2_even_norm() * (1 + 1e-9))
+    over = repr(toyqft.scatter.COUPLING_BOUND / _r2_even_norm() * (1 + 1e-9))
     code, out, err = run(capsys, ["scatter", "--scenario", path, f"--coupling={over}"])
     assert (code, out) == (2, "")
     assert err.startswith("scenario error: coupling: |g|·‖H‖₁ = ")
@@ -1357,6 +1358,23 @@ def test_cli_imports_only_public_toyqft_names():
             names = (node.module or "").split(".") + [alias.name for alias in node.names]
             private += [n for n in names if n.startswith("_") and not n.endswith("__")]
     assert private == []
+
+
+def test_cli_leaves_the_physics_to_the_library():
+    """cli reaches the field spectrum and S|in> through `field_spectrum`
+    and `scatter_column`: it imports none of the operators, the exp
+    action or the spectrum grouping they are built from."""
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    physics = {"hamiltonian", "apply_unitary_exp", "grouped_union", "free_field"}
+    assert imported & physics == set()
+    functions = [toyqft.scatter.hamiltonian, toyqft.scatter.apply_unitary_exp,
+                 toyqft.fields.grouped_union, toyqft.fields.free_field]
+    assert not [name for name, value in vars(cli).items() if any(value is f for f in functions)]
 
 
 def test_cli_reads_the_scenario_only_through_require():

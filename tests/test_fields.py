@@ -1,19 +1,27 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from toyqft import (
     OccupationState,
+    ParticleMode,
     Parity,
+    Statistics,
+    build_space,
     classify_form,
     eigh,
+    field_spectrum,
     free_field,
     interaction_field,
     self_interaction,
 )
-from toyqft.errors import DuplicateTerm, NotAForm, SpaceMismatch, UnknownMode
+from toyqft.errors import DuplicateTerm, NotAForm, NotFinite, SpaceMismatch, UnknownMode
 from toyqft.ladder import zero
 
 from conftest import generic_coeffs, identity, j_space, k_space, ket, l_space
+from test_cli import spectrum_cases
 
 
 def vector_from_kets(space, components):
@@ -294,3 +302,62 @@ def test_classify_matches_ket_by_ket(seed):
     else:
         cls = classify_form(space, v, p_mode, q_mode)
         assert (cls.type_t, cls.form, cls.parity) == expected
+
+
+def dense_eigenvalues(modes, cutoff, terms, terms2=None, square=False):
+    """Every eigenvalue, ascending, of the operator `field_spectrum`
+    describes, built on the whole space and diagonalized by eigvalsh."""
+    space = build_space(modes, cutoff)
+    op = free_field(space, terms)
+    if terms2 is not None:
+        op = interaction_field(op, free_field(space, terms2))
+    elif square:
+        op = self_interaction(op)
+    return np.linalg.eigvalsh(op.mat)
+
+
+def assert_spectrum_matches_dense(modes, cutoff, terms, terms2=None, square=False):
+    groups = field_spectrum(modes, cutoff, terms, terms2, square)
+    values, multiplicities = zip(*groups)
+    want = dense_eigenvalues(modes, cutoff, terms, terms2, square)
+    got = np.repeat(values, multiplicities)
+    assert len(got) == len(want)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(spectrum_cases())
+def test_field_spectrum_matches_dense_eigenvalues(case):
+    """The library twin of the CLI's dense-reference test: the same cases,
+    with no scenario file, against eigvalsh of the whole space."""
+    scenario, modes = case
+
+    def terms(name):
+        return [(t["mode"], complex(*t["alpha"])) for t in scenario[name]]
+
+    terms2 = terms("field2") if "field2" in scenario else None
+    square = scenario.get("self_interaction", False)
+    assert_spectrum_matches_dense(modes, scenario["cutoff_s"], terms("field"), terms2, square)
+
+
+@pytest.mark.parametrize("form", ["field", "square", "field2"])
+def test_field_spectrum_on_a_larger_mixed_roster(form):
+    """Ten modes at cutoff 4 (620 kets): fermions of two masses and
+    bosons, each field naming four of them among spectators of every
+    kind."""
+    kinds = [("fermion", 1)] * 4 + [("boson", 0)] * 2 + [("fermion", 2)] * 2 + [("boson", 0)] * 2
+    modes = [ParticleMode(i, f"m{i}", Statistics(st), mass) for i, (st, mass) in enumerate(kinds)]
+    terms = [(0, 1.0), (3, 0.5 - 0.25j), (4, -0.8 + 0.6j), (6, 0.3 + 1.2j)]
+    terms2 = [(9, 0.7j), (6, 1.1), (1, -0.4 + 0.2j), (4, 0.9 - 0.3j)]
+    assert_spectrum_matches_dense(
+        modes, 4, terms, terms2 if form == "field2" else None, form == "square"
+    )
+
+
+def test_field_spectrum_past_the_largest_float_raises_not_finite():
+    """sigma² past the largest float is one NotFinite, with no warning."""
+    modes = [ParticleMode(i, f"m{i}", Statistics.BOSON) for i in range(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotFinite, match="spectrum is not finite"):
+            field_spectrum(modes, 2, [(0, 1e200), (1, 1e200)], square=True)

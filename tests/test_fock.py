@@ -13,6 +13,7 @@ from toyqft import (
     Statistics,
     build_roster,
     build_space,
+    count_kets,
 )
 from toyqft.errors import InvalidRoster, NotInBasis, UnknownMode
 
@@ -368,3 +369,18 @@ def test_states_hold_python_ints():
         assert all(type(x) is int for x in ints)
     dump = [state.to_json() for state in space.basis]
     assert json.loads(json.dumps(dump)) == dump
+
+
+@pytest.mark.parametrize(
+    "fermions, bosons, cutoff",
+    [(f, b, s) for f in range(5) for b in range(4) for s in (1, 2, 3)],
+)
+def test_count_kets_counts_the_basis(fermions, bosons, cutoff):
+    """count k is the number of kets with at most k fermions, up to
+    min(fermions, cutoff), so the last is the dimension, also with more
+    fermions than the cutoff."""
+    space = build_space(fermion_modes(fermions) + boson_modes(bosons, start=fermions), cutoff)
+    held = space.occupations[:, :fermions].sum(1)
+    counts = list(count_kets(fermions, bosons, cutoff))
+    assert counts == [int((held <= k).sum()) for k in range(min(fermions, cutoff) + 1)]
+    assert counts[-1] == space.dimension

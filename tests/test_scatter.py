@@ -22,11 +22,12 @@ from toyqft import (
     hamiltonian_density,
     hyperboloid,
     probability_table,
+    scatter_column,
     scattering_operator,
     unitary_exp,
 )
-from toyqft import cli, spacetime
-from toyqft.errors import EmptyRoster, UnknownMode
+from toyqft import cli, scatter, spacetime
+from toyqft.errors import CouplingTooLarge, EmptyRoster, UnknownMode
 from toyqft.ladder import OperatorMatrix
 from toyqft.scatter import _momentum_table, _slice_mask, _slice_table
 from toyqft.spacetime import phase
@@ -686,6 +687,56 @@ def test_exp_action_matches_dense_column(m1, m2, r, s, x0, stats, coupling):
     expected = scattering_operator(h, coupling).mat[:, n_in]
     assert np.max(np.abs(column - expected)) <= 1e-12
     assert abs(np.linalg.norm(column) - 1) <= 1e-12
+
+
+# r=1 and r=2 at s <= 3 with both blocks of mass 1, but at r=2, s=3 block
+# 1 is the one-mode mass-2 shell: 286 kets, not 1,330, for the dense S
+COLUMN_SHAPES = [((1, 2) if (r, s) == (2, 3) else (1, 1), r, s) for r in (1, 2) for s in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("stats", ["BB", "FB", "BF"])
+@pytest.mark.parametrize("x0", [0, 1, 2])
+@pytest.mark.parametrize(
+    "masses, r, s", COLUMN_SHAPES, ids=[f"m{m1}{m2}-r{r}-s{s}" for (m1, m2), r, s in COLUMN_SHAPES]
+)
+def test_scatter_column_is_the_dense_column(masses, r, s, x0, stats):
+    """S|in> from the in-ket's sector alone is the full dense S's column,
+    for the vacuum, a particle in either block, one particle per block
+    (s >= 2) and the last ket, at g = 1 and -0.5."""
+    m1, m2 = masses
+    space = build_space(build_roster(m1, m2, r, *STATS[stats]), s)
+    h = hamiltonian(space, x0, r, m1, m2)
+    block1 = len(hyperboloid(m1, r))
+    kets = [0, 1, ket(space, block1), space.dimension - 1]
+    kets += [ket(space, 0, block1)] if s > 1 else []
+    for coupling in (1.0, -0.5):
+        dense = scattering_operator(h, coupling).mat
+        for n_in in kets:
+            column = scatter_column(space, x0, r, m1, m2, n_in, coupling)
+            assert np.max(np.abs(column - dense[:, n_in])) <= 1e-12
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_scatter_column_refuses_a_coupling_past_the_bound(monkeypatch, sign):
+    """|g|·‖H‖₁ on the in-ket's sector just past COUPLING_BOUND raises
+    CouplingTooLarge with that scale before any product; just under it
+    runs."""
+    space = boson_space()
+    n_in = ket(space, 0, 1)
+    even = np.flatnonzero(space.occupations.sum(1) % 2 == 0)
+    norm = hamiltonian(space, 0, 1, 1, 1, even).one_norm()
+    under = sign * scatter.COUPLING_BOUND / norm * (1 - 1e-9)
+    column = scatter_column(space, 0, 1, 1, 1, n_in, under)
+    assert abs(np.linalg.norm(column) - 1) <= 1e-9
+
+    def unreachable(*args):
+        raise AssertionError("exp action started past the coupling bound")
+
+    monkeypatch.setattr(scatter, "apply_unitary_exp", unreachable)
+    over = sign * scatter.COUPLING_BOUND / norm * (1 + 1e-9)
+    with pytest.raises(CouplingTooLarge) as raised:
+        scatter_column(space, 0, 1, 1, 1, n_in, over)
+    assert raised.value.scale == abs(over) * norm > scatter.COUPLING_BOUND
 
 
 def block_in_state(space, m1, r):
