@@ -138,8 +138,8 @@ def classify_form(space, vector, p_mode, q_mode, tol=1e-9):
     """
     if len(vector) != space.dimension:
         raise ValueError("vector dimension does not match space")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:  # NaN fails both
+        raise ValueError("tol must be finite and positive")
 
     tracked = [space.mode(p_mode).id, space.mode(q_mode).id]  # UnknownMode
     others = [m.id for m in space.modes if m.id not in tracked]

@@ -147,8 +147,7 @@ def scattering_operator(h, coupling=1.0):
     The dimensionless coupling g (default 1) is an extension knob; the
     bare construction is exp(iH).
     """
-    op = coupling * h if coupling != 1.0 else h
-    u = unitary_exp(eigh(op))
+    u = unitary_exp(eigh(coupling * h))
     return OperatorMatrix(h.space, u)
 
 
@@ -182,8 +181,8 @@ def probability_table(space, amplitudes, n_in, threshold=0.0,
     enforce_conservation the non-conserving rows are dropped.  It is
     None when momenta are not labeled.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0 <= threshold < np.inf:  # NaN fails both
+        raise ValueError("threshold must be finite and nonnegative")
     momenta, labeled = _momentum_table(space)
     col = np.asarray(amplitudes)
     # np.hypot matches the scalar abs() bit for bit; the array np.abs does not

@@ -7,7 +7,7 @@ projectors, reconstruction and the unitary exponential exp(iH).
 `grouped_union` groups a spectrum given as values with counts by the
 same rule, with no matrix.
 `apply_unitary_exp` needs no decomposition: it sums a Chebyshev series
-of matrix-vector products on the kets the vector reaches.
+of products with the H it is given, whole or a caller's block of it.
 """
 
 from dataclasses import dataclass
@@ -63,7 +63,10 @@ def _group_bounds(w, group_tol):
     """[0, each group's first index after the first, len(w)] for ascending
     values w: two neighbours join one group iff their gap is at most
     group_tol * max(1, spectral radius).  A gap past the largest float
-    is inf, which splits its neighbours as its true value would."""
+    is inf, which splits its neighbours as its true value would.  group_tol
+    must be finite and positive."""
+    if not 0 < group_tol < np.inf:  # NaN fails both
+        raise ValueError("group_tol must be finite and positive")
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     with np.errstate(over="ignore"):
         gaps = np.diff(w)
@@ -119,8 +122,6 @@ def eigh(h, group_tol=DEFAULT_GROUP_TOL):
     max(1, largest |entry|).
     """
     mat = h.mat if isinstance(h, OperatorMatrix) else np.asarray(h, dtype=complex)
-    if group_tol <= 0:
-        raise ValueError("group_tol must be positive")
     if not np.isfinite(mat).all():
         raise NotHermitian("matrix has non-finite entries")
     if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(mat))):
@@ -191,45 +192,22 @@ def _bessel_orders(z):
 _POWER_STEPS = 3
 
 
-class _Sector:
-    """H on the kets a vector reaches: the kets reachable from its
-    support through H's entries.
+class _Rows:
+    """H's entries by row, in the space's numbering: `starts` marks each
+    row's first entry (entries are in (row, col) order) and `filled` the
+    rows that have one."""
 
-    An entry's row is reached whenever its column is, so H maps those
-    kets only among themselves and exp(igH) v is exp(igH_R) v on them,
-    H_R the (Hermitian) block of H there.  `kets` lists them ascending;
-    their entries are renumbered 0..len(kets)-1 (monotone, so still in
-    (row, col) order), `starts` marks each row's first entry and
-    `filled` the rows that have one.
-    """
-
-    def __init__(self, h, vector):
-        reached = vector != 0
-        frontier = reached
-        while frontier.any():
-            hit = np.zeros_like(reached)
-            hit[h.rows[frontier[h.cols]]] = True
-            frontier = hit & ~reached
-            reached = reached | hit
-        self.kets = np.flatnonzero(reached)
-        keep = reached[h.cols]
-        rows, cols, data = h.rows, h.cols, h.data
-        if not keep.all():  # else H's own arrays: no copy of its data
-            rows, cols, data = rows[keep], cols[keep], data[keep]
-        local = reached.cumsum() - 1
-        rows = local[rows]
-        self.cols, self.data = local[cols], data
-        self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        self.filled = rows[self.starts]
+    def __init__(self, h):
+        self.h = h
+        self.starts = np.flatnonzero(np.diff(h.rows, prepend=-1))
+        self.filled = h.rows[self.starts]
 
     def product(self, data, vector):
         """The matrix with entries `data` at H's positions (H itself for
-        `self.data`) applied to a vector on the kets: one reduceat over
-        the row starts; rows with no entry get 0."""
-        sums = np.add.reduceat(data * vector[self.cols], self.starts)
-        if len(sums) == len(self.kets):  # every row has an entry
-            return sums
-        out = np.zeros(len(self.kets), dtype=sums.dtype)
+        `h.data`) applied to a vector: one reduceat over the row starts;
+        rows with no entry get 0."""
+        sums = np.add.reduceat(data * vector[self.h.cols], self.starts)
+        out = np.zeros(len(vector), dtype=sums.dtype)
         out[self.filled] = sums
         return out
 
@@ -240,14 +218,14 @@ class _Sector:
         any w > 0); w = 1 gives the largest row sum of |entries|.  Steps
         on |H| alone stall when |H| is periodic, with eigenvalues rho and
         -rho; |H| + I has the same Perron vector and no other eigenvalue
-        of its size.  Kets with no entry are left out of the ratio; 0
+        of its size.  Rows with no entry are left out of the ratio; 0
         when H has none."""
-        if not len(self.data):
+        if not len(self.h.data):
             return 0.0
-        size = np.abs(self.data)
+        size = np.abs(self.h.data)
         bound = np.inf
         for shift in (0, 1):  # the steps on |H|, then on |H| + I
-            w = np.ones(len(self.kets))
+            w = np.ones(self.h.space.dimension)
             for _ in range(_POWER_STEPS + 1):
                 step = self.product(size, w)
                 bound = min(bound, float(np.max(step[self.filled] / w[self.filled])))
@@ -259,35 +237,34 @@ class _Sector:
 def apply_unitary_exp(h, vector, coupling=1.0):
     """exp(i g H) v for a Hermitian OperatorMatrix H, without decomposing H.
 
-    Chebyshev series (Tal-Ezer & Kosloff 1984) on the kets v reaches
-    (`_Sector`; every other amplitude is exactly 0): with rho the
-    Collatz–Wielandt bound on H there, x = H / rho and z = |g| rho,
+    Chebyshev series (Tal-Ezer & Kosloff 1984) over H's entries as given:
+    with rho the Collatz–Wielandt bound on H, x = H / rho and z = |g| rho,
     exp(i z x) = J_0(z) + 2 sum_k i^k J_k(z) T_k(x), (-i)^k when g < 0,
-    and T_k(x) v from T_{k+1} = 2 x T_k - T_{k-1}.  Costs about
-    z + 12 z^(1/3) products with H on those kets (31 at z = 7.05, the
-    bare two-particle column at r=2, s=3, dim 1,330, where ||H||_1 is
-    32.1, 25.0 on the column's (-1)^N sector).
+    and T_k(x) v from T_{k+1} = 2 x T_k - T_{k-1}.  An amplitude that no
+    chain of H's entries links to v stays exactly 0, so a caller restricts
+    the series by passing H's block on the kets it wants (`scatter_column`
+    passes the in-ket's (-1)^N sector).  Costs about z + 12 z^(1/3)
+    products with H (31 at z = 7.05, the bare two-particle column on its
+    block at r=2, s=3, dim 1,330, where ||H||_1 is 32.1, 25.0 on that
+    block).
     """
-    v = np.asarray(vector, dtype=complex)
-    sector = _Sector(h, v)
-    rho = sector.bound()
+    cur = np.array(vector, dtype=complex)  # a copy: the recurrence writes over it
+    rows = _Rows(h)
+    rho = rows.bound()
     z = abs(coupling) * rho
     if z == 0:
-        return v.copy()
+        return cur
     bessel = _bessel_orders(z)
     turns = (1, 1j, -1, -1j) if coupling > 0 else (1, -1j, -1, 1j)  # (+-i)^k
-    twice_x = sector.data * (2 / rho)
-    cur = v[sector.kets]
+    twice_x = h.data * (2 / rho)
     total = bessel[0] * cur
     prev, term = np.empty_like(cur), np.empty_like(cur)  # T_{k+1} overwrites T_{k-1}
     for k in range(1, len(bessel)):
-        step = sector.product(twice_x, cur)
+        step = rows.product(twice_x, cur)
         if k == 1:
             np.multiply(0.5, step, out=prev)
         else:
             np.subtract(step, prev, out=prev)
         prev, cur = cur, prev
         total += np.multiply(2 * turns[k % 4] * bessel[k], cur, out=term)
-    out = np.zeros_like(v)
-    out[sector.kets] = total
-    return out
+    return total

@@ -242,6 +242,17 @@ def test_classify_spectator_mismatch():
         classify_form(space, v, 0, 1)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_classify_tolerance_must_be_finite_and_positive(tol):
+    """A NaN tol would keep no component and classify any vector as the
+    vacuum's type 0, EVEN."""
+    space = j_space(2, 2)
+    v = np.zeros(space.dimension)
+    v[ket(space, 0, 1)] = 1.0
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        classify_form(space, v, 0, 1, tol=tol)
+
+
 def test_classify_tolerance_filters_noise():
     space = j_space(2, 2)
     v = np.zeros(space.dimension, dtype=complex)
@@ -352,6 +363,16 @@ def test_field_spectrum_on_a_larger_mixed_roster(form):
     assert_spectrum_matches_dense(
         modes, 4, terms, terms2 if form == "field2" else None, form == "square"
     )
+
+
+@pytest.mark.parametrize("group_tol", [np.nan, np.inf])
+def test_field_spectrum_refuses_a_non_finite_group_tol(group_tol):
+    """One boson at s=2 has the three values -sqrt(3), 0 and sqrt(3); a
+    NaN or infinite group_tol would merge them into one."""
+    modes = [ParticleMode(0, "m0", Statistics.BOSON)]
+    assert [m for _, m in field_spectrum(modes, 2, [(0, 1)])] == [1, 1, 1]
+    with pytest.raises(ValueError, match="group_tol must be finite and positive"):
+        field_spectrum(modes, 2, [(0, 1)], group_tol=group_tol)
 
 
 def test_field_spectrum_past_the_largest_float_raises_not_finite():

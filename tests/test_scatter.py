@@ -31,7 +31,7 @@ from toyqft.errors import CouplingTooLarge, EmptyRoster, UnknownMode
 from toyqft.ladder import OperatorMatrix
 from toyqft.scatter import _momentum_table, _slice_mask, _slice_table
 from toyqft.spacetime import phase
-from toyqft.spectral import _Sector, apply_unitary_exp
+from toyqft.spectral import _Rows, apply_unitary_exp
 
 from conftest import ket
 
@@ -571,6 +571,18 @@ def test_probability_table_sorted_and_bounded():
     assert sum(probs) <= 1 + 1e-9
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -1e-300])
+def test_probability_table_threshold_must_be_finite_and_nonnegative(threshold):
+    """A NaN threshold would keep no row: the table would be empty."""
+    space = boson_space(r=2, s=2)
+    state_in = two_particle_in(space)
+    n_in = space.index_of(state_in)
+    amplitudes = np.zeros(space.dimension, dtype=complex)
+    amplitudes[n_in] = 1
+    with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+        probability_table(space, amplitudes, n_in, threshold=threshold)
+
+
 def test_probability_table_conservation_filter():
     space = boson_space(r=2, s=2)
     s = scattering_operator(hamiltonian(space, 0, 2, 1, 1))
@@ -756,34 +768,42 @@ def block_in_state(space, m1, r):
 def test_exp_action_stays_in_parity_sector(m1, m2, r, s, x0, stats):
     """H changes the particle number by 0 or 2, so the two-particle
     in-state reaches only even-N kets and every odd-N amplitude is
-    exactly 0."""
+    exactly 0, also when the series runs on the full H."""
     space = build_space(build_roster(m1, m2, r, *STATS[stats]), s)
     h = hamiltonian(space, x0, r, m1, m2)
     e_in = block_in_state(space, m1, r)
     odd = space.occupations.sum(1) % 2 == 1
-    assert not odd[_Sector(h, e_in).kets].any()
     assert not apply_unitary_exp(h, e_in, 1.0)[odd].any()
 
 
 def test_exp_action_reaches_every_even_ket_at_r2_s3():
+    """H's block on the even-N kets at r=2, s=3, x0=0 has entries in
+    exactly 172 kets (1 vacuum + 171 two-particle kets); the column from
+    that block is nonzero on each of them and exactly 0 on every other."""
     space = build_space(build_roster(1, 1, 2), 3)  # dim 1,330
-    sector = _Sector(hamiltonian(space, 0, 2, 1, 1), block_in_state(space, 1, 2))
-    assert len(sector.kets) == 172  # 1 vacuum + 171 two-particle kets
+    even = np.flatnonzero(space.occupations.sum(1) % 2 == 0)
+    block = hamiltonian(space, 0, 2, 1, 1, even)
+    touched = np.zeros(space.dimension, dtype=bool)
+    touched[block.rows] = touched[block.cols] = True
+    assert touched.sum() == 172
+    column = apply_unitary_exp(block, block_in_state(space, 1, 2))
+    assert column[touched].all()
+    assert not column[~touched].any()
 
 
-def test_sector_of_a_whole_block_keeps_its_data():
-    """At r=3, s=2, x0=1 the column reaches every ket of its (-1)^N
-    block, so the sector holds the block H's own data; the column is bit
-    for bit the one from the full H, whose sector copies the entries."""
+def test_block_column_is_the_scatter_column():
+    """At r=3, s=2, x0=1 the series on H's block on the in-ket's (-1)^N
+    kets gives `scatter_column` bit for bit.  The full H holds both
+    parities, so its bound differs and its column agrees within 1e-12."""
     space = build_space(build_roster(1, 1, 3), 2)
     e_in = block_in_state(space, 1, 3)
     parity = space.occupations.sum(1) % 2
     block = hamiltonian(space, 1, 3, 1, 1, np.flatnonzero(parity == 0))
     full = hamiltonian(space, 1, 3, 1, 1)
-    assert _Sector(block, e_in).data is block.data
-    assert _Sector(full, e_in).data.tobytes() == block.data.tobytes()
     column = apply_unitary_exp(block, e_in)
-    assert column.tobytes() == apply_unitary_exp(full, e_in).tobytes()
+    (n_in,) = np.flatnonzero(e_in)
+    assert column.tobytes() == scatter_column(space, 1, 3, 1, 1, n_in).tobytes()
+    assert np.max(np.abs(column - apply_unitary_exp(full, e_in))) <= 1e-12
 
 
 @pytest.mark.parametrize("masses, shells", [((1, 1), [(1, 2)]), ((1, 2), [(1, 2), (2, 2)])])
@@ -828,23 +848,22 @@ def test_exp_action_of_both_parities_matches_dense(coupling):
     + ["BB-m12-r2-s3-x0"],
 )
 def test_exp_bound_between_spectral_radius_and_one_norm(m1, m2, r, s, x0, stats):
-    """On the in-state's kets and on all kets, the Collatz–Wielandt bound
-    is at least the spectral radius of H there and at most ||H||_1 (up
-    to rounding).  At r=1, |H| on the in-state's kets is periodic, and
-    power steps on |H| alone stay at the largest row sum 1 + sqrt(2) at
-    s=2 (1 + 2 sqrt(2) at s=3); the steps on |H| + I come within 2% and 4%
-    of rho = sqrt(2) and sqrt(5)."""
+    """For H's block on the even-N kets and for the full H, the
+    Collatz–Wielandt bound is at least the spectral radius of that H and
+    at most its ||H||_1 (up to rounding).  At r=1, |H| on the even block
+    is periodic, and power steps on |H| alone stay at the largest row sum
+    1 + sqrt(2) at s=2 (1 + 2 sqrt(2) at s=3); the steps on |H| + I come
+    within 2% and 4% of rho = sqrt(2) and sqrt(5)."""
     space = build_space(build_roster(m1, m2, r, *STATS[stats]), s)
-    h = hamiltonian(space, x0, r, m1, m2)
-    dense = h.mat
-    for v in (block_in_state(space, m1, r), np.ones(space.dimension)):
-        sector = _Sector(h, v)
-        radius = np.abs(np.linalg.eigvalsh(dense[np.ix_(sector.kets, sector.kets)])).max()
-        assert radius <= sector.bound() * (1 + 1e-12)
-        assert sector.bound() <= h.one_norm() * (1 + 1e-12)
+    even = np.flatnonzero(space.occupations.sum(1) % 2 == 0)
+    block = hamiltonian(space, x0, r, m1, m2, even)
+    for h in (block, hamiltonian(space, x0, r, m1, m2)):
+        bound = _Rows(h).bound()
+        radius = np.abs(np.linalg.eigvalsh(h.mat)).max()
+        assert radius <= bound * (1 + 1e-12)
+        assert bound <= h.one_norm() * (1 + 1e-12)
     if r == 1:
-        in_sector = _Sector(h, block_in_state(space, m1, r))
-        assert in_sector.bound() < {2: 1.5, 3: 2.4}[s]
+        assert _Rows(block).bound() < {2: 1.5, 3: 2.4}[s]
 
 
 def test_readme_example_runs():

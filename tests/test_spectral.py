@@ -213,6 +213,16 @@ def test_grouped_union_groups_as_eigh_does():
     assert grouped_union([1.0, 1.5], [1, 1], group_tol=0.4) == [(1.25, 2)]
 
 
+@pytest.mark.parametrize("group_tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_group_tol_must_be_finite_and_positive(group_tol):
+    """`eigh` and `grouped_union` share one check.  A plain comparison
+    lets NaN and inf through, and they group 1 and 2 into one value."""
+    with pytest.raises(ValueError, match="group_tol must be finite and positive"):
+        eigh(np.diag([1.0, 2.0]), group_tol)
+    with pytest.raises(ValueError, match="group_tol must be finite and positive"):
+        grouped_union([1, 1, 2], [1, 2, 1], group_tol)
+
+
 def test_grouped_union_stays_finite_as_eigh_does():
     """A group whose copies sum past the largest float keeps a finite
     value, its mean, in `grouped_union` and in `eigh`; up to the largest
