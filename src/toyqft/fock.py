@@ -213,31 +213,28 @@ def build_space(modes, cutoff_s):
     modes = tuple(sorted(modes, key=lambda m: m.id))
     fermion = np.array([m.statistics is Statistics.FERMION for m in modes], bool)
 
-    # A ket of total t is its t particles' canonical positions (fermion
-    # columns, then boson columns), ascending and without a repeated
-    # fermion.  Rows in lexicographic order make the kets of total t-1
-    # whose first position is >= e a tail, so total t is each position e
-    # put before its tail (> e for a fermion), again in that order.
-    canonical = np.argsort(~fermion, kind="stable")
-    n = len(modes)
-    block, heads = np.zeros((1, 0), dtype=np.int64), np.array([n])
-    encodings = [block]  # per total, mode ids of the positions, basis order
+    # A ket's encoding starts with its lead mode: its lowest fermion id,
+    # or its lowest boson id if it has no fermion.  One particle fewer in
+    # the lead leaves a ket of total t-1 whose encoding is the rest, so
+    # the kets of total t in basis order are each mode id in turn put
+    # before the kets of total t-1 it may lead, kept in their order.  A
+    # fermion f leads the kets whose fermions all exceed f; a boson b the
+    # fermion-free kets whose bosons are all >= b.  The vacuum leads with
+    # id n and no fermion.
+    n, n_fermion = len(modes), int(fermion.sum())
+    dimension = max(count_kets(n_fermion, n - n_fermion, cutoff_s))
+    occupations = np.zeros((dimension, n), dtype=np.int64)
+    lead, lead_fermion, start, end = np.array([n]), np.array([False]), 0, 1
+    head = np.arange(n)[:, None]
     for _ in range(cutoff_s if n else 0):  # no mode: the vacuum alone
-        starts = heads.searchsorted(np.arange(n) + fermion[canonical])
-        heads = np.arange(n).repeat(len(heads) - starts)
-        block = np.column_stack([heads, np.concatenate([block[s:] for s in starts])])
-        if not len(block):  # no ket of this total, so none of any higher
+        heads, tails = np.nonzero(np.where(
+            fermion[:, None], ~lead_fermion | (lead > head), ~lead_fermion & (lead >= head)
+        ))
+        if not len(heads):  # no ket of this total, so none of any higher
             break
-        ids = canonical[block]
-        # the basis orders by mode ids: only a boson id below a fermion
-        # id moves a row
-        encodings.append(ids[np.lexsort(ids.T[::-1])])
-    # one count per (ket, mode id) entry of each total's encodings
-    occupations = np.concatenate([
-        np.bincount(
-            (np.arange(len(ids))[:, None] * n + ids).ravel(), minlength=len(ids) * n
-        ).reshape(len(ids), n)
-        for ids in encodings
-    ])
+        rows = slice(end, end + len(heads))
+        occupations[rows] = occupations[start + tails]
+        occupations[rows][np.arange(len(heads)), heads] += 1
+        lead, lead_fermion, start, end = heads, fermion[heads], end, rows.stop
     occupations.flags.writeable = False
     return FockSpace(modes, cutoff_s, occupations)

@@ -622,6 +622,15 @@ def test_size_budget_counts_kets_exactly(tmp_path, capsys, monkeypatch, fermions
     assert (code, out) == (2, "") and err.startswith("scenario error: cutoff_s: ")
 
 
+def test_dims_builds_one_boson_at_a_cutoff_far_inside_the_budget(tmp_path, capsys):
+    """100,001 kets x 1 mode: the build's memory is bounded by the
+    budget's count table, not by the kets' particle totals."""
+    path = write_scenario(tmp_path, {"roster": [{"statistics": "boson"}], "cutoff_s": 100000})
+    code, out, err = run(capsys, ["dims", "--scenario", path])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"] == [["dimension", 100001]]
+
+
 @pytest.mark.parametrize("momentum", [None, [1, 0, 0, 0], [2, 1, -1, -1]])
 def test_roster_momentum_null_or_four_ints(tmp_path, capsys, momentum):
     """A null momentum leaves the mode unlabeled; four ints on the mode's

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -302,6 +303,38 @@ def test_two_block_roster_matches_brute_force_order(statistics, s):
     modes = build_roster(2, 1, 2, *statistics)
     space = build_space(modes, s)
     assert np.array_equal(space.occupations, reference_occupations(modes, s))
+
+
+def test_one_boson_space_is_its_count_at_a_high_cutoff():
+    modes = boson_modes(1)
+    assert np.array_equal(build_space(modes, 3000).occupations, np.arange(3001)[:, None])
+
+
+@pytest.mark.parametrize(
+    "statistics",
+    [(Statistics.BOSON, Statistics.FERMION), (Statistics.FERMION, Statistics.BOSON)],
+    ids=["boson-first", "fermion-first"],
+)
+def test_two_mode_roster_matches_brute_force_order_at_a_high_cutoff(statistics):
+    """400 totals, with the boson's id below the fermion's and above it:
+    the encoding leads with the fermion whatever its id."""
+    modes = [ParticleMode(i, f"m{i}", stat) for i, stat in enumerate(statistics)]
+    space = build_space(modes, 400)
+    assert np.array_equal(space.occupations, reference_occupations(modes, 400))
+
+
+def test_build_space_memory_is_its_count_table():
+    """One boson at s = 3000 has a 23 KiB count table; the build's
+    traced peak stays below 1 MiB, as nothing it holds per ket grows
+    with the ket's particle total."""
+    modes = boson_modes(1)
+    tracemalloc.start()
+    try:
+        build_space(modes, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
